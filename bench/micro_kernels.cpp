@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "../tests/support/reference_design.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "engine/eval_cache.hpp"
@@ -22,6 +23,7 @@
 #include "problems/integrator_problem.hpp"
 #include "problems/spec_suite.hpp"
 #include "scint/integrator.hpp"
+#include "yield/robustness.hpp"
 
 namespace {
 
@@ -114,6 +116,13 @@ int main() {
              problem.evaluate(genes, eval);
              g_sink = eval.objectives[0];
            }));
+
+    // The yield Monte Carlo a design pays once it passes the typical
+    // corner (a GA design almost always does, a random genome rarely): one
+    // lane group of MonteCarloParams{}.samples processes.
+    const scint::IntegratorDesign passing = testing_support::reference_design();
+    record("yield_robustness", yield::MonteCarloParams{}.samples,
+           ns_per_op(100 * scale, [&] { g_sink = problem.design_robustness(passing); }));
 
     // Cache kernels: the per-item costs the memo layer adds to a batch.
     record("hash_genes", genes.size(), ns_per_op(20000 * scale, [&] {

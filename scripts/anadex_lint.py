@@ -111,9 +111,11 @@ SKIPPED_DIR_PARTS = ("tests/lint/fixtures",)
 # src/engine/simd is already inside src/engine, but the SoA lane kernels it
 # dispatches to live in src/device and src/circuit (batch_mosfet.hpp,
 # batch_opamp.*) — result paths that must obey the same determinism rules.
+# So do the layers above them that every evaluation passes through:
+# src/scint, src/yield (the Monte Carlo) and src/problems.
 DETERMINISTIC_DIRS = ("src/engine", "src/engine/simd", "src/moga", "src/sacga",
                       "src/expt", "src/serve", "src/shard", "src/device",
-                      "src/circuit")
+                      "src/circuit", "src/scint", "src/yield", "src/problems")
 
 ALLOW_RE = re.compile(r"anadex-lint:\s*allow\(([^)]*)\)")
 COMMENT_ONLY_RE = re.compile(r"^\s*(//|/\*|\*|\*/)")

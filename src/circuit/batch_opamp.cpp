@@ -8,14 +8,15 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/check.hpp"
 #include "common/math.hpp"
 #include "device/batch_mosfet.hpp"
 
 namespace anadex::circuit {
 
-using device::DeviceParams;
 using device::Geometry;
 using device::OpLanes;
+using device::ParamLanes;
 using device::Region;
 
 namespace {
@@ -27,7 +28,7 @@ constexpr double kTiny = 1e-18;
 /// diode_vgs() lanes: three fixed-point passes of the inverse model with
 /// VDS following VGS, starting from 0.6 V.
 template <std::size_t W>
-void diode_vgs_lanes(const DeviceParams& params, const double* w, const double* l,
+void diode_vgs_lanes(const ParamLanes<W>& params, const double* w, const double* l,
                      const double* id, double vdd, double* vgs) {
   double vds[W], vsb0[W];
   for (std::size_t k = 0; k < W; ++k) {
@@ -43,11 +44,15 @@ void diode_vgs_lanes(const DeviceParams& params, const double* w, const double* 
 }  // namespace
 
 template <std::size_t W>
-void analyze_lanes(const device::Process& process, std::span<const OpAmpDesign, W> designs,
-                   const OpAmpContext& context, std::span<OpAmpAnalysis, W> out) {
-  const auto& nmos = process.nmos;
-  const auto& pmos = process.pmos;
-  const double vdd = process.vdd;
+void analyze_lanes(std::span<const device::Process* const, W> processes,
+                   std::span<const OpAmpDesign, W> designs, const OpAmpContext& context,
+                   std::span<OpAmpAnalysis, W> out) {
+  const auto nmos = device::gather_param_lanes<W>(processes, device::Type::NMOS);
+  const auto pmos = device::gather_param_lanes<W>(processes, device::Type::PMOS);
+  const double vdd = processes[0]->vdd;
+  for (const device::Process* p : processes) {
+    ANADEX_CHECK_INVARIANT(p->vdd == vdd, "lane processes must share vdd");
+  }
 
   // AoS -> SoA unpack of the per-lane design variables.
   double m1w[W], m1l[W], m3w[W], m3l[W], m5w[W], m5l[W];
@@ -122,8 +127,9 @@ void analyze_lanes(const device::Process& process, std::span<const OpAmpDesign, 
 
   // ---- Per-lane epilogue: gains, capacitances, large-signal, margins ----
   // Cheap relative to the solves; scalar expression trees copied from
-  // analyze() with lane subscripts.
+  // analyze() with lane subscripts, on the lane's own process.
   for (std::size_t k = 0; k < W; ++k) {
+    const device::Process& process = *processes[k];
     OpAmpAnalysis& o = out[k];
     o = OpAmpAnalysis{};
     o.vgs_ref = vgs_ref[k];
@@ -182,11 +188,14 @@ void analyze_lanes(const device::Process& process, std::span<const OpAmpDesign, 
   }
 }
 
-template void analyze_lanes<4>(const device::Process&, std::span<const OpAmpDesign, 4>,
-                               const OpAmpContext&, std::span<OpAmpAnalysis, 4>);
-template void analyze_lanes<8>(const device::Process&, std::span<const OpAmpDesign, 8>,
-                               const OpAmpContext&, std::span<OpAmpAnalysis, 8>);
-template void analyze_lanes<16>(const device::Process&, std::span<const OpAmpDesign, 16>,
-                                const OpAmpContext&, std::span<OpAmpAnalysis, 16>);
+template void analyze_lanes<4>(std::span<const device::Process* const, 4>,
+                               std::span<const OpAmpDesign, 4>, const OpAmpContext&,
+                               std::span<OpAmpAnalysis, 4>);
+template void analyze_lanes<8>(std::span<const device::Process* const, 8>,
+                               std::span<const OpAmpDesign, 8>, const OpAmpContext&,
+                               std::span<OpAmpAnalysis, 8>);
+template void analyze_lanes<16>(std::span<const device::Process* const, 16>,
+                                std::span<const OpAmpDesign, 16>, const OpAmpContext&,
+                                std::span<OpAmpAnalysis, 16>);
 
 }  // namespace anadex::circuit

@@ -1,11 +1,12 @@
-// SoA batch analysis of the two-stage Miller opamp — W designs per call.
+// SoA batch analysis of the two-stage Miller opamp — W (process, design)
+// lanes per call.
 //
 // analyze_lanes<W>() produces, for each lane, the exact OpAmpAnalysis that
-// scalar analyze() produces for that design (bit-identical doubles; see
-// docs/performance.md for the contract and batch_mosfet.hpp for how the
-// kernels achieve it). The hot inverse-model solves run vectorized across
-// lanes; the cheap epilogue (capacitances, gains, margins) runs per lane
-// with the scalar expression trees.
+// scalar analyze() produces for that lane's process and design
+// (bit-identical doubles; see docs/performance.md for the contract and
+// batch_mosfet.hpp for how the kernels achieve it). The hot inverse-model
+// solves run vectorized across lanes; the cheap epilogue (capacitances,
+// gains, margins) runs per lane with the scalar expression trees.
 #pragma once
 
 #include <cstddef>
@@ -20,17 +21,25 @@ namespace anadex::circuit {
 inline constexpr std::size_t kLaneWidths[] = {4, 8, 16};
 inline constexpr std::size_t kMaxLaneWidth = 16;
 
-/// Analyzes W amplifier designs on one process corner in SoA form.
-/// out[k] is bit-identical to analyze(process, designs[k], context).
+/// Analyzes W amplifier designs in SoA form, lane k on *processes[k].
+/// out[k] is bit-identical to analyze(*processes[k], designs[k], context).
+/// The lane processes may differ in any field except vdd and the
+/// DeviceParams fields other than vt0 and mu_cox, which the kernels share
+/// (checked under ANADEX_CHECK_INVARIANTS): corners and Monte-Carlo samples
+/// of one process qualify.
 template <std::size_t W>
-void analyze_lanes(const device::Process& process, std::span<const OpAmpDesign, W> designs,
-                   const OpAmpContext& context, std::span<OpAmpAnalysis, W> out);
+void analyze_lanes(std::span<const device::Process* const, W> processes,
+                   std::span<const OpAmpDesign, W> designs, const OpAmpContext& context,
+                   std::span<OpAmpAnalysis, W> out);
 
-extern template void analyze_lanes<4>(const device::Process&, std::span<const OpAmpDesign, 4>,
-                                      const OpAmpContext&, std::span<OpAmpAnalysis, 4>);
-extern template void analyze_lanes<8>(const device::Process&, std::span<const OpAmpDesign, 8>,
-                                      const OpAmpContext&, std::span<OpAmpAnalysis, 8>);
-extern template void analyze_lanes<16>(const device::Process&, std::span<const OpAmpDesign, 16>,
-                                       const OpAmpContext&, std::span<OpAmpAnalysis, 16>);
+extern template void analyze_lanes<4>(std::span<const device::Process* const, 4>,
+                                      std::span<const OpAmpDesign, 4>, const OpAmpContext&,
+                                      std::span<OpAmpAnalysis, 4>);
+extern template void analyze_lanes<8>(std::span<const device::Process* const, 8>,
+                                      std::span<const OpAmpDesign, 8>, const OpAmpContext&,
+                                      std::span<OpAmpAnalysis, 8>);
+extern template void analyze_lanes<16>(std::span<const device::Process* const, 16>,
+                                       std::span<const OpAmpDesign, 16>, const OpAmpContext&,
+                                       std::span<OpAmpAnalysis, 16>);
 
 }  // namespace anadex::circuit

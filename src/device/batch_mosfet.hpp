@@ -11,9 +11,13 @@
 // golden-equivalence suite (tests/scint/batch_equivalence_test.cpp)
 // enforces this for every spec set, width and random genome.
 //
+// Each lane carries its own process (a corner, or one Monte-Carlo sample):
+// ParamLanes holds vt0 and mu_cox per lane and every other DeviceParams
+// field, n_exp included, once for all lanes.
+//
 // Preconditions are the caller's job: the batch layer pre-screens genomes
-// (positive geometry / bias current, see IntegratorProblem::evaluate_lanes)
-// so the ANADEX_REQUIRE checks of the scalar path cannot fire here. Lanes
+// (positive geometry / bias current, see scint::in_lane_domain) so the
+// ANADEX_REQUIRE checks of the scalar path cannot fire here. Lanes
 // that the scalar model handles by branching (cutoff, triode) are computed
 // unconditionally and selected; discarded intermediate values may be
 // inf/NaN, which IEEE arithmetic defines fully (no UB, no traps).
@@ -23,8 +27,10 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 
+#include "common/check.hpp"
 #include "common/fastmath.hpp"
 #include "device/mosfet.hpp"
 #include "device/process.hpp"
@@ -55,6 +61,36 @@ struct OpLanes {
   double vdsat[W];
   double vt[W];
 };
+
+/// One polarity's DeviceParams for W lanes: vt0 and mu_cox per lane, every
+/// other field shared. The vt0 and mu_cox of `shared` are not read.
+template <std::size_t W>
+struct ParamLanes {
+  DeviceParams shared;
+  double vt0[W];
+  double mu_cox[W];
+};
+
+/// Gathers the `type` parameters of W lane processes. The lanes must agree
+/// on every DeviceParams field except vt0 and mu_cox; that is checked under
+/// ANADEX_CHECK_INVARIANTS, as the kernels read the rest from lane 0.
+template <std::size_t W>
+ParamLanes<W> gather_param_lanes(std::span<const Process* const, W> processes, Type type) {
+  ParamLanes<W> lanes;
+  lanes.shared = processes[0]->params(type);
+  for (std::size_t k = 0; k < W; ++k) {
+    const DeviceParams& p = processes[k]->params(type);
+    lanes.vt0[k] = p.vt0;
+    lanes.mu_cox[k] = p.mu_cox;
+    if constexpr (kCheckInvariants) {
+      DeviceParams rest = p;
+      rest.vt0 = lanes.shared.vt0;
+      rest.mu_cox = lanes.shared.mu_cox;
+      ANADEX_ASSERT(rest == lanes.shared, "lane processes may differ only in vt0 and mu_cox");
+    }
+  }
+  return lanes;
+}
 
 namespace lanes_detail {
 
@@ -93,18 +129,18 @@ inline double lane_dmob_term2(const DeviceParams& p, double u) {
 }
 
 /// threshold(): vt0 + gamma*(sqrt(phi2f + vsb) - sqrt(phi2f)).
-inline double lane_threshold(const DeviceParams& p, double vsb) {
-  return p.vt0 + p.gamma * (std::sqrt(p.phi2f + vsb) - std::sqrt(p.phi2f));
+inline double lane_threshold(const DeviceParams& p, double vt0, double vsb) {
+  return vt0 + p.gamma * (std::sqrt(p.phi2f + vsb) - std::sqrt(p.phi2f));
 }
 
 /// drain_current() in select form: cutoff / triode / saturation all
 /// computed, the scalar code's branch outcomes selected. Expression trees
 /// match mosfet.cpp's mobility_denominator / vdsat_of / drain_current.
 template <int NExp>
-inline double lane_drain_current(const DeviceParams& p, double w, double l, double vgs,
-                                 double vds, double vt) {
+inline double lane_drain_current(const DeviceParams& p, double mu_cox, double w, double l,
+                                 double vgs, double vds, double vt) {
   const double vov = vgs - vt;
-  const double k = 0.5 * p.mu_cox * w / l;
+  const double k = 0.5 * mu_cox * w / l;
   const double lambda = p.lambda_per_m / l;
   const double el = p.esat * l;
   const double u = std::max(vgs + vt - p.vk, 0.0);
@@ -125,13 +161,13 @@ inline double lane_drain_current(const DeviceParams& p, double w, double l, doub
 /// expressions being identical); this helper is those two branches fused,
 /// with the shared det_cbrt computed once.
 template <int NExp>
-inline void lane_sat_id_gm(const DeviceParams& p, double w, double l, double vt, double vgs,
-                           double vds_request, double& id_out, double& gm_out) {
+inline void lane_sat_id_gm(const DeviceParams& p, double mu_cox, double w, double l, double vt,
+                           double vgs, double vds_request, double& id_out, double& gm_out) {
   const double vov = vgs - vt;
   const double el = p.esat * l;
   const double vdsat = el * vov / (el + vov);
   const double vds = std::max(vds_request, vdsat);
-  const double k = 0.5 * p.mu_cox * w / l;
+  const double k = 0.5 * mu_cox * w / l;
   const double lambda = p.lambda_per_m / l;
   const double u = vgs + vt - p.vk;
   const double uc = std::max(u, 0.0);
@@ -170,27 +206,30 @@ inline decltype(auto) dispatch_n_exp(const DeviceParams& p, F&& f) {
 namespace lanes_detail {
 
 template <std::size_t W, int NExp>
-inline void drain_current_lanes_impl(const DeviceParams& p, const double* w, const double* l,
-                                     const double* vgs, const double* vds, const double* vsb,
-                                     double* id_out) {
+inline void drain_current_lanes_impl(const ParamLanes<W>& lanes, const double* w,
+                                     const double* l, const double* vgs, const double* vds,
+                                     const double* vsb, double* id_out) {
+  const DeviceParams& p = lanes.shared;
   ANADEX_LANE_SIMD
   for (std::size_t k = 0; k < W; ++k) {
-    const double vt = lane_threshold(p, vsb[k]);
-    id_out[k] = lane_drain_current<NExp>(p, w[k], l[k], vgs[k], vds[k], vt);
+    const double vt = lane_threshold(p, lanes.vt0[k], vsb[k]);
+    id_out[k] = lane_drain_current<NExp>(p, lanes.mu_cox[k], w[k], l[k], vgs[k], vds[k], vt);
   }
 }
 
 template <std::size_t W, int NExp>
-inline void solve_op_lanes_impl(const DeviceParams& p, const double* w, const double* l,
+inline void solve_op_lanes_impl(const ParamLanes<W>& lanes, const double* w, const double* l,
                                 const double* vgs, const double* vds, const double* vsb,
                                 OpLanes<W>& out) {
+  const DeviceParams& p = lanes.shared;
   ANADEX_LANE_SIMD
   for (std::size_t k = 0; k < W; ++k) {
-    const double vt = lane_threshold(p, vsb[k]);
+    const double mu_cox = lanes.mu_cox[k];
+    const double vt = lane_threshold(p, lanes.vt0[k], vsb[k]);
     const double vov = vgs[k] - vt;
     const double el = p.esat * l[k];
     const double vdsat = el * vov / (el + vov);
-    const double id = lane_drain_current<NExp>(p, w[k], l[k], vgs[k], vds[k], vt);
+    const double id = lane_drain_current<NExp>(p, mu_cox, w[k], l[k], vgs[k], vds[k], vt);
 
     const double lambda = p.lambda_per_m / l[k];
     const double u = vgs[k] + vt - p.vk;
@@ -208,8 +247,10 @@ inline void solve_op_lanes_impl(const DeviceParams& p, const double* w, const do
     // Triode branch: the scalar code's h = 1e-6 numeric derivatives.
     const double h = 1e-6;
     const double vt_g = vt;  // vsb unchanged for both nudges
-    const double id_g = lane_drain_current<NExp>(p, w[k], l[k], vgs[k] + h, vds[k], vt_g);
-    const double id_d = lane_drain_current<NExp>(p, w[k], l[k], vgs[k], vds[k] + h, vt_g);
+    const double id_g =
+        lane_drain_current<NExp>(p, mu_cox, w[k], l[k], vgs[k] + h, vds[k], vt_g);
+    const double id_d =
+        lane_drain_current<NExp>(p, mu_cox, w[k], l[k], vgs[k], vds[k] + h, vt_g);
     const double gm_tri = (id_g - id) / h;
     const double gds_tri = (id_d - id) / h;
 
@@ -228,9 +269,10 @@ inline void solve_op_lanes_impl(const DeviceParams& p, const double* w, const do
 }
 
 template <std::size_t W, int NExp>
-inline void vgs_for_current_lanes_impl(const DeviceParams& p, const double* w, const double* l,
-                                       const double* id, const double* vds, const double* vsb,
-                                       double vgs_max, double* out) {
+inline void vgs_for_current_lanes_impl(const ParamLanes<W>& lanes, const double* w,
+                                       const double* l, const double* id, const double* vds,
+                                       const double* vsb, double vgs_max, double* out) {
+  const DeviceParams& p = lanes.shared;
   double vt[W], lo[W], hi[W], vgs[W];
   double done[W];  // 0.0 = iterating, 1.0 = frozen (double so the masked
                    // commits below are pure FP selects — bool arrays force
@@ -238,18 +280,19 @@ inline void vgs_for_current_lanes_impl(const DeviceParams& p, const double* w, c
 
   ANADEX_LANE_SIMD
   for (std::size_t k = 0; k < W; ++k) {
-    vt[k] = lane_threshold(p, vsb[k]);
+    vt[k] = lane_threshold(p, lanes.vt0[k], vsb[k]);
     lo[k] = vt[k] + 1e-3;
     hi[k] = vgs_max;
 
     // Bracket probes (scalar: early returns, hi checked first). current_at
     // evaluates at vds_eff = max(vds, vdsat) — the saturation fast path.
     double id_hi, gm_unused, id_lo;
-    lane_sat_id_gm<NExp>(p, w[k], l[k], vt[k], hi[k], vds[k], id_hi, gm_unused);
-    lane_sat_id_gm<NExp>(p, w[k], l[k], vt[k], lo[k], vds[k], id_lo, gm_unused);
+    const double mu_cox = lanes.mu_cox[k];
+    lane_sat_id_gm<NExp>(p, mu_cox, w[k], l[k], vt[k], hi[k], vds[k], id_hi, gm_unused);
+    lane_sat_id_gm<NExp>(p, mu_cox, w[k], l[k], vt[k], lo[k], vds[k], id_lo, gm_unused);
 
     // Initial guess: square-law estimate clamped into the bracket.
-    const double guess = vt[k] + std::sqrt(2.0 * id[k] * l[k] / (p.mu_cox * w[k]));
+    const double guess = vt[k] + std::sqrt(2.0 * id[k] * l[k] / (mu_cox * w[k]));
     const double clamped = lane_clamp(guess, lo[k], hi[k]);
 
     const bool probe_hi = id_hi <= id[k];  // cannot reach: saturate at the rail
@@ -264,7 +307,7 @@ inline void vgs_for_current_lanes_impl(const DeviceParams& p, const double* w, c
     for (std::size_t k = 0; k < W; ++k) {
       const double vg = vgs[k];
       double idk, gmk;
-      lane_sat_id_gm<NExp>(p, w[k], l[k], vt[k], vg, vds[k], idk, gmk);
+      lane_sat_id_gm<NExp>(p, lanes.mu_cox[k], w[k], l[k], vt[k], vg, vds[k], idk, gmk);
       const double f = idk - id[k];
       const bool conv_f = std::abs(f) <= 1e-9 * id[k];
       const double nhi = f > 0.0 ? vg : hi[k];
@@ -291,12 +334,12 @@ inline void vgs_for_current_lanes_impl(const DeviceParams& p, const double* w, c
 
 }  // namespace lanes_detail
 
-/// W-lane drain_current over per-lane geometry and bias (shared params).
+/// W-lane drain_current over per-lane parameters, geometry and bias.
 template <std::size_t W>
-inline void drain_current_lanes(const DeviceParams& p, const double* w, const double* l,
+inline void drain_current_lanes(const ParamLanes<W>& p, const double* w, const double* l,
                                 const double* vgs, const double* vds, const double* vsb,
                                 double* id_out) {
-  lanes_detail::dispatch_n_exp(p, [&](auto n) {
+  lanes_detail::dispatch_n_exp(p.shared, [&](auto n) {
     lanes_detail::drain_current_lanes_impl<W, decltype(n)::value>(p, w, l, vgs, vds, vsb, id_out);
   });
 }
@@ -304,10 +347,10 @@ inline void drain_current_lanes(const DeviceParams& p, const double* w, const do
 /// W-lane solve_op. Triode gm/gds use the scalar code's numeric
 /// derivatives (h = 1e-6 re-evaluations of the full drain current).
 template <std::size_t W>
-inline void solve_op_lanes(const DeviceParams& p, const double* w, const double* l,
+inline void solve_op_lanes(const ParamLanes<W>& p, const double* w, const double* l,
                            const double* vgs, const double* vds, const double* vsb,
                            OpLanes<W>& out) {
-  lanes_detail::dispatch_n_exp(p, [&](auto n) {
+  lanes_detail::dispatch_n_exp(p.shared, [&](auto n) {
     lanes_detail::solve_op_lanes_impl<W, decltype(n)::value>(p, w, l, vgs, vds, vsb, out);
   });
 }
@@ -318,10 +361,10 @@ inline void solve_op_lanes(const DeviceParams& p, const double* w, const double*
 /// exactly; the loop exits when every lane is done or at the scalar path's
 /// 60-iteration cap.
 template <std::size_t W>
-inline void vgs_for_current_lanes(const DeviceParams& p, const double* w, const double* l,
+inline void vgs_for_current_lanes(const ParamLanes<W>& p, const double* w, const double* l,
                                   const double* id, const double* vds, const double* vsb,
                                   double vgs_max, double* out) {
-  lanes_detail::dispatch_n_exp(p, [&](auto n) {
+  lanes_detail::dispatch_n_exp(p.shared, [&](auto n) {
     lanes_detail::vgs_for_current_lanes_impl<W, decltype(n)::value>(p, w, l, id, vds, vsb,
                                                                     vgs_max, out);
   });

@@ -40,6 +40,8 @@ struct DeviceParams {
   double n_exp = 1.0;    ///< paper: n = 1 for NMOS, 2 for PMOS
   double esat = 0.0;     ///< velocity-saturation critical field, V/m
   double lambda_per_m = 0.0;  ///< channel-length modulation: lambda = lambda_per_m / L
+
+  bool operator==(const DeviceParams&) const = default;
 };
 
 /// Full process description at one corner.
@@ -73,6 +75,8 @@ struct Process {
 
   /// The typical (TT) 0.18 µm process used throughout the reproduction.
   static Process typical();
+
+  bool operator==(const Process&) const = default;
 
   /// This process shifted to a manufacturing corner: threshold, mobility,
   /// oxide and capacitor-density shifts; FS/SF move NMOS and PMOS in

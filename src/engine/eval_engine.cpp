@@ -461,6 +461,7 @@ void EvalEngine::run_batch(std::span<const Item> items) const {
   first_error_ = nullptr;
   first_error_index_ = std::numeric_limits<std::size_t>::max();
   ++batch_seq_;
+  batch_open_ = true;
   lock.unlock();
   work_ready_.notify_all();
 
@@ -468,6 +469,10 @@ void EvalEngine::run_batch(std::span<const Item> items) const {
   batch_done_.wait(lock, [&] {
     return active_ == 0 && completed_.load(std::memory_order_acquire) == item_count_;
   });
+  // Closed with no worker inside: a worker that wakes for this batch only
+  // now must not join it, or its claim on the cursor could land after the
+  // next batch resets it and swallow that batch's first items.
+  batch_open_ = false;
   if constexpr (kCheckInvariants) {
     // Slot completeness: the index-addressed claim counter must have handed
     // out every slot exactly once — each item attempted, none skipped, no
@@ -498,6 +503,7 @@ void EvalEngine::worker_loop() {
       work_ready_.wait(lock, [&] { return stopping_ || batch_seq_ != seen; });
       if (stopping_) return;
       seen = batch_seq_;
+      if (!batch_open_) continue;  // woke after the batch closed
       ++active_;
     }
 

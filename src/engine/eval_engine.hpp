@@ -253,9 +253,10 @@ class EvalEngine final : public Evaluator {
 
   // Batch hand-off state. The caller publishes a batch under `mu_` and
   // waits on `batch_done_`; workers claim items via the atomic cursor and
-  // write results by index. `item_count_`/`items_` only change while every
-  // worker is idle (active_ == 0), so workers may read them lock-free
-  // during a batch.
+  // write results by index. Workers join only while `batch_open_`, and the
+  // caller closes the batch under `mu_` once active_ == 0, so
+  // `item_count_`/`items_` only change while every worker is idle and
+  // workers may read them lock-free during a batch.
   mutable std::mutex mu_;
   mutable std::condition_variable work_ready_;
   mutable std::condition_variable batch_done_;
@@ -275,6 +276,7 @@ class EvalEngine final : public Evaluator {
   mutable std::atomic<std::size_t> completed_{0};
   mutable std::size_t active_ = 0;        ///< workers inside the current batch
   mutable std::uint64_t batch_seq_ = 0;   ///< bumped per published batch
+  mutable bool batch_open_ = false;       ///< workers may still join the batch
   mutable std::exception_ptr first_error_;
   mutable std::size_t first_error_index_ = 0;
   BatchEval batch_eval_ = BatchEval::Scalar;

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "circuit/batch_opamp.hpp"
 #include "common/check.hpp"
 #include "scint/batch_integrator.hpp"
 
@@ -161,20 +160,10 @@ void IntegratorProblem::evaluate_lanes(std::span<const std::span<const double>> 
                                        std::span<moga::Evaluation* const> outs) const {
   ANADEX_REQUIRE(genes.size() == outs.size() && !genes.empty(),
                  "evaluate_lanes needs parallel, non-empty spans");
-  std::size_t pos = 0;
-  while (pos < genes.size()) {
-    const std::size_t n = std::min<std::size_t>(genes.size() - pos, circuit::kMaxLaneWidth);
-    const auto g = genes.subspan(pos, n);
-    const auto o = outs.subspan(pos, n);
-    if (n <= 4) {
-      evaluate_lane_group<4>(g, o);
-    } else if (n <= 8) {
-      evaluate_lane_group<8>(g, o);
-    } else {
-      evaluate_lane_group<16>(g, o);
-    }
-    pos += n;
-  }
+  scint::for_each_lane_group(genes.size(), [&](auto width, std::size_t first, std::size_t n) {
+    evaluate_lane_group<decltype(width)::value>(genes.subspan(first, n),
+                                                outs.subspan(first, n));
+  });
 }
 
 template <std::size_t W>
@@ -191,11 +180,8 @@ void IntegratorProblem::evaluate_lane_group(std::span<const std::span<const doub
   std::array<scint::IntegratorDesign, W> designs;
   for (std::size_t i = 0; i < n; ++i) {
     designs[i] = decode(genes[i]);
-    const circuit::OpAmpDesign& a = designs[i].opamp;
-    const bool ok = a.m1.w > 0.0 && a.m1.l > 0.0 && a.m3.w > 0.0 && a.m3.l > 0.0 &&
-                    a.m5.w > 0.0 && a.m5.l > 0.0 && a.m6.w > 0.0 && a.m6.l > 0.0 &&
-                    a.m7.w > 0.0 && a.m7.l > 0.0 && a.ibias > 0.0;
-    ANADEX_REQUIRE(ok, "batch pre-screen: genome outside the device model's domain");
+    ANADEX_REQUIRE(scint::in_lane_domain(designs[i]),
+                   "batch pre-screen: genome outside the device model's domain");
   }
   // Pad the group with lane 0 (already screened); padded results are
   // computed and discarded.
@@ -219,9 +205,10 @@ void IntegratorProblem::evaluate_lane_group(std::span<const std::span<const doub
   }
 
   std::array<scint::IntegratorPerformance, W> perfs;
+  std::array<const device::Process*, W> corner;
   for (std::size_t c = 0; c < corners_.size(); ++c) {
-    scint::evaluate_lanes<W>(corners_[c], std::span<const scint::IntegratorDesign, W>{designs},
-                             context_, std::span<scint::IntegratorPerformance, W>{perfs});
+    corner.fill(&corners_[c]);
+    scint::evaluate_lanes<W>(corner, designs, context_, perfs);
     for (std::size_t i = 0; i < n; ++i) {
       const scint::IntegratorPerformance& perf = perfs[i];
       dr_worst[i] = std::min(dr_worst[i], perf.dynamic_range_db);

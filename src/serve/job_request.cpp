@@ -258,10 +258,7 @@ JobRequest parse_job_request(const std::string& line) {
       ANADEX_REQUIRE(value.kind == Value::Kind::UintArray,
                      "job request: \"mesacga_schedule\" must be an array of "
                      "unsigned integers");
-      s.mesacga_schedule.clear();
-      for (std::uint64_t v : value.array) {
-        s.mesacga_schedule.push_back(static_cast<std::size_t>(v));
-      }
+      s.mesacga_schedule.assign(value.array.begin(), value.array.end());
     } else if (key == "record_history") {
       ANADEX_REQUIRE(value.kind == Value::Kind::Bool,
                      "job request: \"record_history\" must be true or false");

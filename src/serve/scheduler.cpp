@@ -31,7 +31,7 @@ std::size_t JobScheduler::admit(std::string id, expt::RunSettings settings) {
     // Context 0 is reserved for private engines; admission ordinals start
     // at 1 so two jobs can never share cache entries.
     settings.engine.engine = config_.hub;
-    settings.engine.context = static_cast<std::uint64_t>(slots_.size()) + 1;
+    settings.engine.context = slots_.size() + 1;
     // The shared pool decides parallelism; the per-run thread knob only
     // matters for private engines (and EngineLease ignores it when shared).
   }

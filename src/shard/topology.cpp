@@ -19,8 +19,7 @@ Topology Topology::make(std::size_t islands, std::size_t shards, std::uint64_t s
   // and library versions (no std::hash), same hash family as the checkpoint
   // checksum (common/hash.hpp).
   const std::string tag = "anadex-shard-topology " + std::to_string(seed);
-  topo.rotation = static_cast<std::size_t>(
-      hash_bytes({tag.data(), tag.size()}, 0) % islands);
+  topo.rotation = hash_bytes({tag.data(), tag.size()}, 0) % islands;
   return topo;
 }
 

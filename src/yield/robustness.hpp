@@ -62,11 +62,22 @@ std::vector<ProcessPerturbation> draw_perturbations(const MonteCarloParams& para
 /// Robustness in [0, 1]: fraction of perturbations under which the design
 /// still satisfies `spec` (deterministic limits only). When a perturbation
 /// carries pair-mismatch draws, the input pair's VT mismatch is applied as
-/// an additional NMOS threshold shift (worst-case single-ended view) and
-/// the mirror/stage-2 mismatches tighten the balance check via the PMOS
-/// threshold.
+/// an additional NMOS threshold shift and the mirror pair's as an
+/// additional PMOS threshold shift (worst-case single-ended view). The
+/// stage-2 draw (z_pair_stage2) is drawn but not applied. The samples run
+/// through the SoA lane kernels, one sample per lane, each bit-identical to
+/// scint::evaluate() on that sample's process. Throws PreconditionError for
+/// a design outside the device model's domain (scint::in_lane_domain).
 double robustness(const device::Process& base, const scint::IntegratorDesign& design,
                   const scint::IntegratorContext& context, const scint::Spec& spec,
                   const std::vector<ProcessPerturbation>& perturbations);
+
+/// The per-sample performances robustness() judges: element i is
+/// bit-identical to scint::evaluate() on perturbation i's process (global
+/// shift, then pair mismatch when drawn). Same preconditions.
+std::vector<scint::IntegratorPerformance> sample_performances(
+    const device::Process& base, const scint::IntegratorDesign& design,
+    const scint::IntegratorContext& context,
+    const std::vector<ProcessPerturbation>& perturbations);
 
 }  // namespace anadex::yield

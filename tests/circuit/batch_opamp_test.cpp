@@ -1,5 +1,6 @@
 // analyze_lanes<W> vs scalar analyze(): the SoA opamp kernels must emit
-// bit-identical analyses for every compiled lane width. Field-by-field
+// bit-identical analyses for every compiled lane width, with one process
+// broadcast to every lane or a different process per lane. Field-by-field
 // bit comparison (not EXPECT_DOUBLE_EQ) because checkpoint byte-identity
 // between --batch-eval modes rides on exact doubles.
 #include <array>
@@ -75,14 +76,22 @@ void expect_analysis_equal(const OpAmpAnalysis& lanes, const OpAmpAnalysis& scal
   expect_bits(lanes.margins.mref, scalar.margins.mref, "margins.mref", lane);
 }
 
+/// The same process in every lane: how the corner loop calls the kernels.
+template <std::size_t W>
+std::array<const device::Process*, W> broadcast(const device::Process& process) {
+  std::array<const device::Process*, W> lanes;
+  lanes.fill(&process);
+  return lanes;
+}
+
 template <std::size_t W>
 void check_width(std::uint64_t seed) {
   const auto designs = random_designs(W, seed);
   const OpAmpContext context;
 
   std::array<OpAmpAnalysis, W> lanes;
-  analyze_lanes<W>(kProc, std::span<const OpAmpDesign, W>(designs.data(), W), context,
-                   std::span<OpAmpAnalysis, W>(lanes));
+  analyze_lanes<W>(broadcast<W>(kProc), std::span<const OpAmpDesign, W>(designs.data(), W),
+                   context, std::span<OpAmpAnalysis, W>(lanes));
 
   for (std::size_t k = 0; k < W; ++k) {
     const OpAmpAnalysis scalar = analyze(kProc, designs[k], context);
@@ -110,11 +119,33 @@ TEST(BatchOpAmp, EveryCornerBitIdentical) {
   for (const device::Corner corner : device::kAllCorners) {
     const device::Process process = kProc.at_corner(corner);
     std::array<OpAmpAnalysis, 8> lanes;
-    analyze_lanes<8>(process, std::span<const OpAmpDesign, 8>(designs.data(), 8), context,
-                     std::span<OpAmpAnalysis, 8>(lanes));
+    analyze_lanes<8>(broadcast<8>(process), std::span<const OpAmpDesign, 8>(designs.data(), 8),
+                     context, std::span<OpAmpAnalysis, 8>(lanes));
     for (std::size_t k = 0; k < 8; ++k) {
       expect_analysis_equal(lanes[k], analyze(process, designs[k], context), k);
     }
+  }
+}
+
+TEST(BatchOpAmp, PerLaneProcessesBitIdentical) {
+  // One process per lane: the five corners in lanes 0-4 of a single W = 8
+  // call (lanes 5-7 repeat TT, FF, SS), each lane against its own scalar
+  // analyze(). Corners differ in vt0 and mu_cox, which the kernels read per
+  // lane, and in cox and cap_density, which the per-lane epilogue reads.
+  const auto designs = random_designs(8, 123);
+  const OpAmpContext context;
+  std::array<device::Process, 5> corners;
+  for (std::size_t c = 0; c < corners.size(); ++c) {
+    corners[c] = kProc.at_corner(device::kAllCorners[c]);
+  }
+  std::array<const device::Process*, 8> processes;
+  for (std::size_t k = 0; k < 8; ++k) processes[k] = &corners[k % corners.size()];
+
+  std::array<OpAmpAnalysis, 8> lanes;
+  analyze_lanes<8>(processes, std::span<const OpAmpDesign, 8>(designs.data(), 8), context,
+                   std::span<OpAmpAnalysis, 8>(lanes));
+  for (std::size_t k = 0; k < 8; ++k) {
+    expect_analysis_equal(lanes[k], analyze(*processes[k], designs[k], context), k);
   }
 }
 

@@ -4,10 +4,16 @@
 // accounting composes identically under the pool.
 #include "engine/eval_engine.hpp"
 
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -69,6 +75,35 @@ TEST(EvalEngine, BatchResultsAreBitIdenticalAcrossThreadCounts) {
       expect_evaluations_eq(out, reference);
     }
   }
+}
+
+TEST(EvalEngine, WorkerWakingAfterItsBatchNeverSwallowsTheNext) {
+  // Regression: a worker that woke for a batch only after the batch had
+  // completed used to join it anyway. Its claim on the shared cursor could
+  // then land after the next batch reset the cursor, dropping that batch's
+  // first items and leaving the caller waiting forever. Many tiny batches
+  // on an oversubscribed pool open that window often. The batches run on a
+  // helper thread so that a hang fails this test instead of stalling ctest.
+  const auto problem = problems::make_sch();
+  const auto genomes = make_genomes(*problem, 2);
+  const EvalEngine eval(*problem, 8);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  std::thread runner([&] {
+    std::vector<moga::Evaluation> out(genomes.size());
+    for (int batch = 0; batch < 20000; ++batch) eval.evaluate_batch(genomes, out);
+    const std::lock_guard<std::mutex> lock(mu);
+    done = true;
+    cv.notify_all();
+  });
+  std::unique_lock<std::mutex> lock(mu);
+  if (!cv.wait_for(lock, std::chrono::seconds(60), [&] { return done; })) {
+    std::fprintf(stderr, "EvalEngine: a batch never completed (lost items)\n");
+    std::_Exit(1);  // the stuck runner cannot be joined
+  }
+  lock.unlock();
+  runner.join();
 }
 
 TEST(EvalEngine, EvaluateMembersFillsEvaluationsInPlace) {

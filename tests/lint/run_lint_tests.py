@@ -139,6 +139,19 @@ class LintFixtureTest(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertEqual(rules_of(report), ["wall-clock", "wall-clock"])
 
+    def test_batch_kernel_clock_fixture_in_yield(self):
+        # src/scint, src/yield and src/problems joined DETERMINISTIC_DIRS
+        # when the yield Monte Carlo moved onto the lane kernels: every
+        # evaluation's result passes through them.
+        for prefix in ("src/scint", "src/yield", "src/problems"):
+            with self.subTest(prefix=prefix):
+                code, report = self.lint_fixture("batch_kernel_clock.cpp",
+                                                 pretend=prefix)
+                self.assertEqual(code, 1)
+                self.assertEqual(rules_of(report),
+                                 ["det-unordered", "unordered-iter",
+                                  "wall-clock", "wall-clock"])
+
     def test_float_printf_fixture(self):
         code, report = self.lint_fixture("float_printf.cpp", pretend="src/expt")
         self.assertEqual(code, 1)

@@ -1,6 +1,7 @@
 #include "moga/nsga2.hpp"
 
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -176,6 +177,11 @@ struct SuiteCase {
   std::size_t generations;
   double gd_limit;
 };
+
+// Names the ctest cases by problem. Without it gtest prints the struct's
+// raw bytes, the `name` pointer among them, so the test names would move
+// with every change to the binary's layout.
+void PrintTo(const SuiteCase& c, std::ostream* os) { *os << c.name; }
 
 class Nsga2Suite : public ::testing::TestWithParam<SuiteCase> {};
 
