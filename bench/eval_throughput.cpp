@@ -13,11 +13,15 @@
 // (docs/performance.md).
 //
 // The scalar-vs-SIMD section times a Simd-mode serial engine (SoA lane
-// kernels, docs/performance.md) against the Scalar-mode per-item oracle on
-// the same batches. The lane path must match the oracle bit for bit on
-// every build; the >= 4x single-thread speedup gate applies only under
-// --simd-gate, which CI's native-ISA bench job passes (a generic
-// -march=x86-64 build has no business being held to an AVX-class ratio).
+// groups across genomes, docs/performance.md) against the scalar model: the
+// five-corner scint::evaluate() loop of tests/support/reference_evaluate.hpp,
+// the oracle, run per item. It also times the Scalar-mode engine, whose
+// per-genome evaluate() runs one genome's corners as lanes. Both lane paths
+// must match the oracle bit for bit on every build; the >= 4x
+// single-thread speedup gate (cross-genome lanes over the scalar model)
+// applies only under --simd-gate, which CI's native-ISA bench job passes (a
+// generic -march=x86-64 build has no business being held to an AVX-class
+// ratio).
 //
 // Flags / environment:
 //   --duplicate-rate R   run the cache section at the single rate R (0..1)
@@ -48,6 +52,7 @@
 #include <utility>
 #include <vector>
 
+#include "../tests/support/reference_evaluate.hpp"
 #include "common/cancel.hpp"
 #include "common/rng.hpp"
 #include "engine/eval_engine.hpp"
@@ -195,44 +200,56 @@ int main(int argc, char** argv) {
                 row.evals_per_sec, row.speedup, row.bit_identical ? "yes" : "NO");
   }
 
-  // --- scalar vs SIMD lane kernels (single worker thread) ---
+  // --- scalar model vs SIMD lane kernels (single worker thread) ---
   // IntegratorProblem implements engine::LaneEvaluator, so a Simd-mode
   // serial engine maps each batch onto SoA groups of preferred_lane_width()
-  // genomes while the Scalar-mode engine evaluates item by item. The lane
-  // kernels are op-for-op transliterations of the scalar expression trees,
-  // so the outputs must match bit for bit on every build; trials are PAIRED
-  // (scalar then SIMD back-to-back, acceptance on the best paired ratio) so
+  // genomes (five corners each), while the Scalar-mode engine evaluates
+  // item by item, one genome's corners per lane call. The baseline runs
+  // the scalar model's corner loop item by item. The lane kernels are
+  // op-for-op transliterations of the scalar expression trees, so the
+  // outputs must match bit for bit on every build; trials are PAIRED (the
+  // three back-to-back, acceptance on the best paired ratio) so
   // multiplicative scheduler noise cancels out of the speedup.
   const std::size_t simd_trials = quick ? 4 : 6;
   const std::size_t lane_width = problem.preferred_lane_width();
-  const engine::EvalEngine scalar_serial(problem, 1);
+  const testing_support::ReferenceProblem scalar_model(problem);
+  const engine::EvalEngine scalar_serial(scalar_model, 1);
+  const engine::EvalEngine per_genome_serial(problem, 1);
   engine::EvalEngine simd_serial_engine(problem, 1);
   simd_serial_engine.set_batch_eval(engine::BatchEval::Simd);
   const engine::EvalEngine& simd_serial = simd_serial_engine;
   std::vector<moga::Evaluation> scalar_out(batch_size);
+  std::vector<moga::Evaluation> per_genome_out(batch_size);
   std::vector<moga::Evaluation> simd_out(batch_size);
 
   double scalar_eps = 0.0;
+  double per_genome_eps = 0.0;
   double simd_eps = 0.0;
   double simd_speedup = 0.0;
   for (std::size_t t = 0; t < simd_trials; ++t) {
     const double p = timed_evals_per_sec(scalar_serial, genomes, scalar_out, repeats);
+    const double g = timed_evals_per_sec(per_genome_serial, genomes, per_genome_out, repeats);
     const double s = timed_evals_per_sec(simd_serial, genomes, simd_out, repeats);
     scalar_eps = std::max(scalar_eps, p);
+    per_genome_eps = std::max(per_genome_eps, g);
     simd_eps = std::max(simd_eps, s);
     simd_speedup = std::max(simd_speedup, s / p);
   }
-  const bool simd_identical = identical(simd_out, scalar_out);
+  const bool simd_identical =
+      identical(simd_out, scalar_out) && identical(per_genome_out, scalar_out);
   // The gate is meaningless if the lane path never actually engaged.
   const std::uint64_t simd_lane_groups = simd_serial.lane_groups();
   const bool simd_ok = simd_identical && simd_lane_groups > 0 &&
                        (!simd_gate || simd_speedup >= 4.0);
-  std::printf("\nscalar vs SIMD (1 thread, lane width %zu): %.0f -> %.0f evals/sec "
+  std::printf("\nscalar model vs SIMD (1 thread, lane width %zu): %.0f -> %.0f evals/sec "
               "(%.2fx, gate >= 4x %s, lane groups %llu, bit-identical %s) -> %s\n",
               lane_width, scalar_eps, simd_eps, simd_speedup,
               simd_gate ? "ENFORCED" : "advisory",
               static_cast<unsigned long long>(simd_lane_groups),
               simd_identical ? "yes" : "NO", simd_ok ? "ok" : "FAIL");
+  std::printf("per-genome lanes (--batch-eval scalar): %.0f evals/sec, %.2fx the scalar "
+              "model; cross-genome lanes %.2fx per-genome\n",
+              per_genome_eps, per_genome_eps / scalar_eps, simd_eps / per_genome_eps);
 
   // --- dedup cache vs duplicate rate (serial engine: isolates the cache) ---
   std::printf(
@@ -439,6 +456,7 @@ int main(int argc, char** argv) {
   json << "  ],\n"
        << "  \"simd_lane_width\": " << lane_width << ",\n"
        << "  \"simd_scalar_evals_per_sec\": " << scalar_eps << ",\n"
+       << "  \"simd_per_genome_evals_per_sec\": " << per_genome_eps << ",\n"
        << "  \"simd_evals_per_sec\": " << simd_eps << ",\n"
        << "  \"simd_speedup\": " << simd_speedup << ",\n"
        << "  \"simd_lane_groups\": " << simd_lane_groups << ",\n"

@@ -112,6 +112,8 @@ int main() {
     Rng rng(1);
     const auto genes = moga::random_genome(problem.bounds(), rng);
     moga::Evaluation eval;
+    // A random genome almost never passes the typical corner, so this is
+    // the five corners alone: one W = 8 lane call.
     record("problem_evaluate", 1, ns_per_op(200 * scale, [&] {
              problem.evaluate(genes, eval);
              g_sink = eval.objectives[0];
@@ -123,6 +125,13 @@ int main() {
     const scint::IntegratorDesign passing = testing_support::reference_design();
     record("yield_robustness", yield::MonteCarloParams{}.samples,
            ns_per_op(100 * scale, [&] { g_sink = problem.design_robustness(passing); }));
+
+    // One GA design: the corners and then the Monte Carlo.
+    const auto passing_genes = problems::IntegratorProblem::encode(passing);
+    record("problem_evaluate_ga", 1, ns_per_op(100 * scale, [&] {
+             problem.evaluate(passing_genes, eval);
+             g_sink = eval.objectives[0];
+           }));
 
     // Cache kernels: the per-item costs the memo layer adds to a batch.
     record("hash_genes", genes.size(), ns_per_op(20000 * scale, [&] {

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/check.hpp"
 #include "scint/batch_integrator.hpp"
@@ -19,6 +20,40 @@ constexpr double kViolationCap = 10.0;
 double violation(double amount) {
   return std::clamp(amount, 0.0, kViolationCap);
 }
+
+/// One design's spec figures, worst case across the corners.
+struct WorstCase {
+  double dr = std::numeric_limits<double>::infinity();
+  double out_range = std::numeric_limits<double>::infinity();
+  double st = 0.0;
+  double se = 0.0;
+  double area = 0.0;
+  double sat = std::numeric_limits<double>::infinity();
+  double balance = 0.0;
+  double vov = std::numeric_limits<double>::infinity();
+  double power_tt = 0.0;
+  bool tt_pass = false;
+
+  /// Folds corner `corner`'s performance in. Corners must come in order
+  /// 0..4: std::min/std::max keep the accumulator on a tie or a NaN, so
+  /// which of 0.0 and -0.0 survives depends on order, and the typical
+  /// corner (0) sets power and the pass flag.
+  void fold(std::size_t corner, const scint::IntegratorPerformance& perf,
+            const scint::Spec& spec) {
+    dr = std::min(dr, perf.dynamic_range_db);
+    out_range = std::min(out_range, perf.output_range);
+    st = std::max(st, perf.settling_time);
+    se = std::max(se, perf.settling_error);
+    area = std::max(area, perf.area);
+    sat = std::min(sat, perf.sat_margin_worst);
+    balance = std::max(balance, perf.mirror_balance_error);
+    vov = std::min(vov, perf.vov_worst);
+    if (corner == 0) {
+      power_tt = perf.power;
+      tt_pass = spec.satisfied_by(perf);
+    }
+  }
+};
 
 }  // namespace
 
@@ -104,52 +139,15 @@ double IntegratorProblem::design_robustness(const scint::IntegratorDesign& desig
 
 void IntegratorProblem::evaluate(std::span<const double> genes, moga::Evaluation& out) const {
   const scint::IntegratorDesign design = decode(genes);
-
-  // Worst-case spec figures across the five corners.
-  double dr_worst = std::numeric_limits<double>::infinity();
-  double or_worst = std::numeric_limits<double>::infinity();
-  double st_worst = 0.0;
-  double se_worst = 0.0;
-  double area_worst = 0.0;
-  double sat_worst = std::numeric_limits<double>::infinity();
-  double balance_worst = 0.0;
-  double vov_worst = std::numeric_limits<double>::infinity();
-  double power_tt = 0.0;
-  bool tt_pass = false;
-
-  for (std::size_t c = 0; c < corners_.size(); ++c) {
-    const scint::IntegratorPerformance perf = scint::evaluate(corners_[c], design, context_);
-    dr_worst = std::min(dr_worst, perf.dynamic_range_db);
-    or_worst = std::min(or_worst, perf.output_range);
-    st_worst = std::max(st_worst, perf.settling_time);
-    se_worst = std::max(se_worst, perf.settling_error);
-    area_worst = std::max(area_worst, perf.area);
-    sat_worst = std::min(sat_worst, perf.sat_margin_worst);
-    balance_worst = std::max(balance_worst, perf.mirror_balance_error);
-    vov_worst = std::min(vov_worst, perf.vov_worst);
-    if (c == 0) {
-      power_tt = perf.power;
-      tt_pass = spec_.satisfied_by(perf);
-    }
+  if (!scint::in_lane_domain(design)) {
+    // The lane kernels check no preconditions. The scalar model raises its
+    // own PreconditionError here (expression, file and line), the message
+    // fault reports and checkpoints record.
+    (void)scint::evaluate(corners_[0], design, context_);
+    ANADEX_ASSERT(false, "the scalar model accepted a design outside the lane domain");
   }
-
-  // Monte-Carlo robustness is only worth spending on designs that pass the
-  // deterministic limits at the typical corner; others would score ~0
-  // anyway (the samples are centred on TT).
-  const double rob = tt_pass ? design_robustness(design) : 0.0;
-
-  out.objectives = {power_tt, kLoadMax - design.cload};
-  out.violations = {
-      violation((spec_.dr_min_db - dr_worst) / 10.0),          // per 10 dB
-      violation((spec_.or_min - or_worst) / 0.5),              // per 0.5 V
-      violation((st_worst - spec_.st_max) / spec_.st_max),
-      violation((se_worst - spec_.se_max) / spec_.se_max),
-      violation((area_worst - spec_.area_max) / spec_.area_max),
-      violation(-sat_worst / 0.1),                             // per 100 mV shortfall
-      violation((balance_worst - spec_.balance_max) / spec_.balance_max),
-      violation((spec_.vov_min - vov_worst) / 0.1),                // strong inversion
-      violation((spec_.robustness_min - rob) / spec_.robustness_min),
-  };
+  moga::Evaluation* const outs[] = {&out};
+  evaluate_designs({&design, 1}, outs);
 }
 
 // 16 measured fastest on AVX-512 and AVX2 hosts alike (deeper lane pool
@@ -160,85 +158,61 @@ void IntegratorProblem::evaluate_lanes(std::span<const std::span<const double>> 
                                        std::span<moga::Evaluation* const> outs) const {
   ANADEX_REQUIRE(genes.size() == outs.size() && !genes.empty(),
                  "evaluate_lanes needs parallel, non-empty spans");
-  scint::for_each_lane_group(genes.size(), [&](auto width, std::size_t first, std::size_t n) {
-    evaluate_lane_group<decltype(width)::value>(genes.subspan(first, n),
-                                                outs.subspan(first, n));
-  });
-}
-
-template <std::size_t W>
-void IntegratorProblem::evaluate_lane_group(std::span<const std::span<const double>> genes,
-                                            std::span<moga::Evaluation* const> outs) const {
-  const std::size_t n = genes.size();
-
-  // Pre-screen BEFORE any output is written (LaneEvaluator error
-  // contract): reject exactly the genomes whose scalar evaluation throws —
-  // non-positive or non-finite device geometry / bias current trips an
-  // ANADEX_REQUIRE inside the device model. The engine reacts by re-running
-  // every lane of the group through the scalar path, which reproduces the
-  // precise per-genome exception (or result) the scalar mode would produce.
-  std::array<scint::IntegratorDesign, W> designs;
-  for (std::size_t i = 0; i < n; ++i) {
+  // Pre-screen every genome BEFORE any output is written (LaneEvaluator
+  // error contract). The engine reacts to the throw by re-running the group
+  // through evaluate(), which reproduces the scalar model's own exception.
+  std::vector<scint::IntegratorDesign> designs(genes.size());
+  for (std::size_t i = 0; i < genes.size(); ++i) {
     designs[i] = decode(genes[i]);
     ANADEX_REQUIRE(scint::in_lane_domain(designs[i]),
                    "batch pre-screen: genome outside the device model's domain");
   }
-  // Pad the group with lane 0 (already screened); padded results are
-  // computed and discarded.
-  for (std::size_t i = n; i < W; ++i) designs[i] = designs[0];
+  evaluate_designs(designs, outs);
+}
 
-  // Per-lane worst-case accumulators, mirroring evaluate()'s corner loop.
-  std::array<double, W> dr_worst, or_worst, st_worst, se_worst, area_worst;
-  std::array<double, W> sat_worst, balance_worst, vov_worst, power_tt;
-  std::array<bool, W> tt_pass;
-  for (std::size_t i = 0; i < W; ++i) {
-    dr_worst[i] = std::numeric_limits<double>::infinity();
-    or_worst[i] = std::numeric_limits<double>::infinity();
-    st_worst[i] = 0.0;
-    se_worst[i] = 0.0;
-    area_worst[i] = 0.0;
-    sat_worst[i] = std::numeric_limits<double>::infinity();
-    balance_worst[i] = 0.0;
-    vov_worst[i] = std::numeric_limits<double>::infinity();
-    power_tt[i] = 0.0;
-    tt_pass[i] = false;
-  }
+void IntegratorProblem::evaluate_designs(std::span<const scint::IntegratorDesign> designs,
+                                         std::span<moga::Evaluation* const> outs) const {
+  constexpr std::size_t kCorners = std::tuple_size_v<decltype(corners_)>;
 
-  std::array<scint::IntegratorPerformance, W> perfs;
-  std::array<const device::Process*, W> corner;
-  for (std::size_t c = 0; c < corners_.size(); ++c) {
-    corner.fill(&corners_[c]);
-    scint::evaluate_lanes<W>(corner, designs, context_, perfs);
-    for (std::size_t i = 0; i < n; ++i) {
-      const scint::IntegratorPerformance& perf = perfs[i];
-      dr_worst[i] = std::min(dr_worst[i], perf.dynamic_range_db);
-      or_worst[i] = std::min(or_worst[i], perf.output_range);
-      st_worst[i] = std::max(st_worst[i], perf.settling_time);
-      se_worst[i] = std::max(se_worst[i], perf.settling_error);
-      area_worst[i] = std::max(area_worst[i], perf.area);
-      sat_worst[i] = std::min(sat_worst[i], perf.sat_margin_worst);
-      balance_worst[i] = std::max(balance_worst[i], perf.mirror_balance_error);
-      vov_worst[i] = std::min(vov_worst[i], perf.vov_worst);
-      if (c == 0) {
-        power_tt[i] = perf.power;
-        tt_pass[i] = spec_.satisfied_by(perf);
-      }
+  // Every (design, corner) pair is one kernel lane, design-major: item
+  // kCorners * d + c is design d on corner c. Lane groups run in item
+  // order, so each design folds its corners in order. Pad lanes repeat the
+  // group's first item; their results are dropped.
+  std::vector<WorstCase> worst(designs.size());
+  scint::for_each_lane_group(designs.size() * kCorners, [&](auto width, std::size_t first,
+                                                            std::size_t n) {
+    constexpr std::size_t W = decltype(width)::value;
+    std::array<const device::Process*, W> processes;
+    std::array<scint::IntegratorDesign, W> lanes;
+    std::array<scint::IntegratorPerformance, W> perfs;
+    for (std::size_t k = 0; k < W; ++k) {
+      const std::size_t item = first + (k < n ? k : 0);
+      processes[k] = &corners_[item % kCorners];
+      lanes[k] = designs[item / kCorners];
     }
-  }
+    scint::evaluate_lanes<W>(processes, lanes, context_, perfs);
+    for (std::size_t k = 0; k < n; ++k) {
+      worst[(first + k) / kCorners].fold((first + k) % kCorners, perfs[k], spec_);
+    }
+  });
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const double rob = tt_pass[i] ? design_robustness(designs[i]) : 0.0;
-    moga::Evaluation& out = *outs[i];
-    out.objectives = {power_tt[i], kLoadMax - designs[i].cload};
+  for (std::size_t d = 0; d < designs.size(); ++d) {
+    const WorstCase& w = worst[d];
+    // Monte-Carlo robustness is only worth spending on designs that pass
+    // the deterministic limits at the typical corner; others would score
+    // ~0 anyway (the samples are centred on TT).
+    const double rob = w.tt_pass ? design_robustness(designs[d]) : 0.0;
+    moga::Evaluation& out = *outs[d];
+    out.objectives = {w.power_tt, kLoadMax - designs[d].cload};
     out.violations = {
-        violation((spec_.dr_min_db - dr_worst[i]) / 10.0),
-        violation((spec_.or_min - or_worst[i]) / 0.5),
-        violation((st_worst[i] - spec_.st_max) / spec_.st_max),
-        violation((se_worst[i] - spec_.se_max) / spec_.se_max),
-        violation((area_worst[i] - spec_.area_max) / spec_.area_max),
-        violation(-sat_worst[i] / 0.1),
-        violation((balance_worst[i] - spec_.balance_max) / spec_.balance_max),
-        violation((spec_.vov_min - vov_worst[i]) / 0.1),
+        violation((spec_.dr_min_db - w.dr) / 10.0),              // per 10 dB
+        violation((spec_.or_min - w.out_range) / 0.5),           // per 0.5 V
+        violation((w.st - spec_.st_max) / spec_.st_max),
+        violation((w.se - spec_.se_max) / spec_.se_max),
+        violation((w.area - spec_.area_max) / spec_.area_max),
+        violation(-w.sat / 0.1),                                 // per 100 mV shortfall
+        violation((w.balance - spec_.balance_max) / spec_.balance_max),
+        violation((spec_.vov_min - w.vov) / 0.1),                // strong inversion
         violation((spec_.robustness_min - rob) / spec_.robustness_min),
     };
   }

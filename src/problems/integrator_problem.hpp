@@ -10,6 +10,10 @@
 // worst-case across the five process corners): dynamic range, output range,
 // settling time, settling error, area, device operating regions, mirror
 // matching, and Monte-Carlo robustness (yield) at the typical corner.
+//
+// Both evaluate() (one design) and evaluate_lanes() (many) run every
+// (design, corner) pair as one lane of the SoA kernels and the Monte Carlo
+// as one lane group per design; scint::evaluate() stays the oracle.
 #pragma once
 
 #include <array>
@@ -50,8 +54,8 @@ class IntegratorProblem final : public moga::Problem, public engine::LaneEvaluat
 
   void evaluate(std::span<const double> genes, moga::Evaluation& out) const override;
 
-  // LaneEvaluator: the SoA batch path. Results are bit-identical to
-  // evaluate() per genome (golden suite tests/scint/batch_equivalence_test).
+  // LaneEvaluator: the same lanes across genomes. Results are bit-identical
+  // to evaluate() per genome (golden suite tests/scint/batch_equivalence_test).
   bool lanes_supported() const override { return true; }
   std::size_t preferred_lane_width() const override;
   void evaluate_lanes(std::span<const std::span<const double>> genes,
@@ -73,12 +77,11 @@ class IntegratorProblem final : public moga::Problem, public engine::LaneEvaluat
   double design_robustness(const scint::IntegratorDesign& design) const;
 
  private:
-  /// One padded lane group (n <= W) of the batch path; W is one of
-  /// circuit::kLaneWidths. Defined in the .cpp (only called from
-  /// evaluate_lanes there).
-  template <std::size_t W>
-  void evaluate_lane_group(std::span<const std::span<const double>> genes,
-                           std::span<moga::Evaluation* const> outs) const;
+  /// Evaluates designs[i] into *outs[i]: the five corners of every design
+  /// as kernel lanes, then the Monte Carlo and the violations per design.
+  /// Every design must be in scint::in_lane_domain.
+  void evaluate_designs(std::span<const scint::IntegratorDesign> designs,
+                        std::span<moga::Evaluation* const> outs) const;
 
   scint::Spec spec_;
   scint::IntegratorContext context_;

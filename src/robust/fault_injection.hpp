@@ -2,6 +2,7 @@
 // guard layer and the evolvers' tolerance to misbehaving evaluators.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -58,9 +59,10 @@ class FaultInjectingProblem final : public moga::Problem {
 
   const FaultInjectionConfig& config() const { return config_; }
 
-  /// Injection totals so far. Mutable across const evaluate() calls.
-  const FaultInjectionCounters& counters() const { return counters_; }
-  void reset_counters() { counters_ = {}; }
+  /// Injection totals so far, as a snapshot. evaluate() may run on several
+  /// threads at once (the engine's pool does); each total is exact once
+  /// those calls have returned.
+  FaultInjectionCounters counters() const;
 
   /// Makes the slow-eval spin cooperative: when `token` (non-owning,
   /// nullptr detaches) is raised mid-spin, evaluate() throws
@@ -73,7 +75,12 @@ class FaultInjectingProblem final : public moga::Problem {
   std::shared_ptr<const moga::Problem> inner_;
   FaultInjectionConfig config_;
   const CancelToken* cancel_ = nullptr;
-  mutable FaultInjectionCounters counters_;
+  // Relaxed atomics: the totals are independent tallies, read after the
+  // evaluations they count have been joined.
+  mutable std::atomic<std::size_t> evaluations_{0};
+  mutable std::atomic<std::size_t> exceptions_{0};
+  mutable std::atomic<std::size_t> nans_{0};
+  mutable std::atomic<std::size_t> slow_{0};
 };
 
 }  // namespace anadex::robust

@@ -3,8 +3,9 @@
 // amplifier analysis) followed by the scalar assemble_performance() per
 // lane on that lane's process, so each lane's IntegratorPerformance is
 // bit-identical to scint::evaluate() for that process and design by
-// construction. The lanes are W designs on one corner (the problem's batch
-// path) or one design on W Monte-Carlo samples (yield::robustness).
+// construction. The lanes are (design, corner) pairs of the problem's
+// corner check, one design or many, or one design on W Monte-Carlo samples
+// (yield::robustness).
 #pragma once
 
 #include <algorithm>

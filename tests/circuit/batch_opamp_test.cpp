@@ -76,7 +76,7 @@ void expect_analysis_equal(const OpAmpAnalysis& lanes, const OpAmpAnalysis& scal
   expect_bits(lanes.margins.mref, scalar.margins.mref, "margins.mref", lane);
 }
 
-/// The same process in every lane: how the corner loop calls the kernels.
+/// The same process in every lane: many designs on one process.
 template <std::size_t W>
 std::array<const device::Process*, W> broadcast(const device::Process& process) {
   std::array<const device::Process*, W> lanes;

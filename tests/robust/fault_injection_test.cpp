@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -125,6 +127,44 @@ TEST(FaultInjection, SlowPathCountsAndStillEvaluates) {
   const auto eval = injected.evaluated(std::vector<double>{0.5, 0.5, 0.5, 0.5});
   EXPECT_EQ(eval.objectives.size(), 2u);
   EXPECT_EQ(injected.counters().slow, 1u);
+}
+
+TEST(FaultInjection, CountersAreExactUnderConcurrentEvaluation) {
+  // The engine's pool calls evaluate() from several threads at once. Each
+  // thread evaluates its own genomes; the totals must equal those of the
+  // same genomes evaluated on one thread.
+  FaultInjectionConfig config;
+  config.exception_rate = 0.1;
+  config.nan_rate = 0.1;
+  const std::shared_ptr<const moga::Problem> sch(problems::make_sch());
+  FaultInjectingProblem shared(sch, config);
+  FaultInjectingProblem serial(sch, config);
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kCalls = 250000;
+  const auto run = [](const FaultInjectingProblem& problem, std::size_t thread) {
+    moga::Evaluation out;
+    for (std::size_t i = 0; i < kCalls; ++i) {
+      const double x = static_cast<double>(thread * kCalls + i);
+      try {
+        problem.evaluate(std::span<const double>(&x, 1), out);
+      } catch (const InjectedFault&) {
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) threads.emplace_back(run, std::cref(shared), t);
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) run(serial, t);
+
+  const FaultInjectionCounters got = shared.counters();
+  const FaultInjectionCounters want = serial.counters();
+  EXPECT_EQ(got.evaluations, kThreads * kCalls);
+  EXPECT_EQ(want.evaluations, kThreads * kCalls);
+  EXPECT_GT(want.exceptions, 0u);
+  EXPECT_GT(want.nans, 0u);
+  EXPECT_EQ(got.exceptions, want.exceptions);
+  EXPECT_EQ(got.nans, want.nans);
+  EXPECT_EQ(got.slow, want.slow);
 }
 
 TEST(FaultInjection, RejectsOutOfRangeRates) {

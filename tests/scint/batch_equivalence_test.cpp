@@ -1,9 +1,11 @@
 // Golden-equivalence suite for the SoA batch evaluation path
 // (docs/performance.md): IntegratorProblem::evaluate_lanes must reproduce
-// scalar evaluate() bit for bit — same doubles, not merely close ones —
+// per-genome evaluate() bit for bit — same doubles, not merely close ones —
 // for every spec in the paper's suite, every compiled lane width, ragged
 // remainder groups, and hostile (NaN / out-of-range) genomes. The engine's
-// cross-mode checkpoint byte-identity rests on this property.
+// cross-mode checkpoint byte-identity rests on this property. Both run the
+// corners in lanes; their oracle, the scalar model's corner loop, is
+// checked in tests/problems/integrator_problem_test.cpp.
 #include <bit>
 #include <cmath>
 #include <cstdint>
