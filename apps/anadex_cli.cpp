@@ -466,8 +466,9 @@ int cmd_serve(const ArgParser& args) {
   ANADEX_REQUIRE(poll_ms >= 0, "--poll-ms must be >= 0");
 
   // SIGINT/SIGTERM raise the shutdown token: the current slice stops at its
-  // next generation barrier, every running job snapshots, and a restarted
-  // daemon resumes them all (ResumeMode::Auto at admission).
+  // next generation barrier, every preempted job writes its state once
+  // (scheduler.shutdown), and a restarted daemon resumes them all
+  // (ResumeMode::Auto at admission).
   robust::install_shutdown_handlers();
   const CancelToken& stop = robust::shutdown_token();
 
@@ -640,6 +641,7 @@ int cmd_serve(const ArgParser& args) {
   write_stats();
 
   if (stop.requested()) {
+    scheduler.shutdown();
     std::cout << "shutdown: snapshotted jobs will resume on the next serve\n";
     return 130;  // same convention as an interrupted explore
   }

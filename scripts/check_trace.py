@@ -11,11 +11,12 @@ present, and — for the SACGA family — that the paper's telemetry actually
 made it into the trace (partition occupancy, T_A, hypervolume).
 
 With --segments the file may hold SEVERAL consecutive header..trailer
-segments — one per JsonlTraceWriter lifetime. That is the shape `anadex
-serve` produces: a preempted job's trace is appended one segment per slice
-(docs/serve.md). Each segment is framed and counted independently; without
---segments a multi-segment file is an error, preserving the strict
-single-run contract.
+segments — one per JsonlTraceWriter lifetime. That is the shape of the
+`anadex serve` service trace (serve_trace.jsonl), which appends one segment
+per daemon lifetime (docs/serve.md). A run's trace, solo or served, is one
+segment however the job is sliced. Each segment is framed and counted
+independently; without --segments a multi-segment file is an error,
+preserving the strict single-run contract.
 
 Exits nonzero with a line-numbered message on the first structural problem.
 Only the standard library is used.
@@ -64,8 +65,9 @@ def main() -> int:
                         help="expected trace level recorded in the header")
     parser.add_argument("--segments", action="store_true",
                         help="allow multiple appended header..trailer segments "
-                             "(one per writer lifetime — e.g. one per serve "
-                             "slice); each segment is validated independently")
+                             "(one per writer lifetime — e.g. one per daemon "
+                             "run in serve_trace.jsonl); each segment is "
+                             "validated independently")
     args = parser.parse_args()
 
     events = []

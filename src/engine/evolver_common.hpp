@@ -51,15 +51,15 @@ struct EvolverCommon : ObsConfig, EvalKnobs {
   std::function<void(const State&)> on_snapshot;
   /// When set, skip initialization and continue from this state. The state
   /// must come from a run with identical params; seed is ignored in favour
-  /// of the stored RNG state. Caller keeps the state alive for the run.
+  /// of the stored RNG state. Read once, when the evolver is built.
   const State* resume = nullptr;
 
   // Graceful shutdown + stuck-eval watchdog (see docs/robustness.md).
   /// Non-owning stop-request token (e.g. robust::shutdown_token()). Checked
-  /// once per generation at the barrier: when raised, the evolver snapshots
-  /// (if on_snapshot is set), marks its result `interrupted` and returns.
-  /// Stopping never consumes randomness, so a resumed run replays the
-  /// remaining generations bit-identically.
+  /// once per generation at the barrier (moga/generation_driver.hpp): when
+  /// raised, the run snapshots (if on_snapshot is set), marks its result
+  /// `interrupted` and returns. Stopping never consumes randomness, so a
+  /// resumed run replays the remaining generations bit-identically.
   const CancelToken* stop = nullptr;
 
   /// Per-batch evaluation deadline in seconds (0 = no watchdog). Requires

@@ -16,10 +16,10 @@ const char* to_string(BatchEval mode) {
 }
 
 BatchEval parse_batch_eval(std::string_view text) {
-  if (text == "scalar") return BatchEval::Scalar;
   if (text == "simd") return BatchEval::Simd;
   if (text == "auto") return BatchEval::Auto;
-  ANADEX_REQUIRE(false, "--batch-eval must be one of: scalar, simd, auto");
+  ANADEX_REQUIRE(text == "scalar", "--batch-eval must be one of: scalar, simd, auto");
+  return BatchEval::Scalar;
 }
 
 }  // namespace anadex::engine

@@ -20,9 +20,7 @@ std::string job_state_name(JobState state) {
 }
 
 Job::Job(const problems::IntegratorProblem& problem, RunSettings settings)
-    : problem_(std::shared_ptr<void>(), &problem),
-      settings_(std::move(settings)),
-      slice_stop_(std::make_unique<CancelToken>()) {
+    : problem_(std::shared_ptr<void>(), &problem), settings_(std::move(settings)) {
   validate_run_settings(settings_);
   // A Job is one process's run; the multi-process path has its own
   // coordinator. Reject at admission so `--shards` can never be silently
@@ -32,6 +30,10 @@ Job::Job(const problems::IntegratorProblem& problem, RunSettings settings)
                  "shard::run_sharded (anadex explore --shards), not by an "
                  "in-process Job");
 }
+
+Job::~Job() = default;
+Job::Job(Job&&) noexcept = default;
+Job& Job::operator=(Job&&) noexcept = default;
 
 Job Job::from_settings(RunSettings settings) {
   // Validate BEFORE building the problem: admission must reject bad
@@ -48,9 +50,11 @@ void Job::cancel() {
     case JobState::Pending:
     case JobState::Snapshotted:
       state_ = JobState::Cancelled;
+      live_.reset();
       [[fallthrough]];
     case JobState::Running:
       cancel_requested_ = true;
+      if (live_ != nullptr) live_->halt();
       return;
     case JobState::Done:
     case JobState::Failed:
@@ -60,52 +64,13 @@ void Job::cancel() {
 }
 
 JobState Job::run_slice(std::size_t budget) {
-  ANADEX_REQUIRE(state_ == JobState::Pending || state_ == JobState::Snapshotted,
-                 "Job::run_slice: job is " + job_state_name(state_) +
-                     ", not runnable");
-  if (state_ == JobState::Snapshotted) {
-    ANADEX_REQUIRE(resumable_,
-                   "Job::run_slice: the previous slice stopped without a "
-                   "checkpoint path, so nothing was saved to resume from");
-  }
-
+  ANADEX_REQUIRE(runnable(), "Job::run_slice: job is " + job_state_name(state_) +
+                                 ", not runnable");
   state_ = JobState::Running;
-  RunSettings slice = settings_;
-  if (slices_run_ > 0) {
-    // Re-admission: pick up the newest valid slot of this job's own
-    // checkpoint chain and extend the trace with a fresh segment.
-    slice.resume = ResumeMode::Auto;
-    slice.trace_append = true;
-  }
-
-  // The slice's stop wiring. The evolvers poll `stop` at the generation
-  // barrier immediately after on_generation, so raising the slice token
-  // inside the chained callback preempts exactly at the barrier the budget
-  // names — deterministically, with no wall clock involved. The caller's
-  // own stop token and a pending cancel() route through the same seam.
-  slice_stop_->reset();
-  CancelToken* slice_stop = slice_stop_.get();
-  const CancelToken* user_stop = settings_.stop;
-  const bool* cancelled = &cancel_requested_;
-  // Budget enforcement needs a checkpoint to hand the rest of the work to
-  // the next slice; non-preemptible jobs run to completion instead.
-  const std::size_t effective_budget = preemptible() ? budget : 0;
-  std::size_t slice_generations = 0;
-  moga::GenerationCallback user_callback = settings_.on_generation;
-  slice.on_generation = [=, &slice_generations](std::size_t gen,
-                                                const moga::Population& population) {
-    if (user_callback) user_callback(gen, population);
-    ++slice_generations;
-    if ((effective_budget > 0 && slice_generations >= effective_budget) ||
-        (user_stop != nullptr && user_stop->requested()) || *cancelled) {
-      slice_stop->request();
-    }
-  };
-  slice.stop = slice_stop;
-
   ++slices_run_;
   try {
-    outcome_ = detail::run_impl(*problem_, slice);
+    if (live_ == nullptr) live_ = detail::start_run(problem_, settings_);
+    outcome_ = live_->advance(budget);
   } catch (...) {
     error_ptr_ = std::current_exception();
     try {
@@ -116,6 +81,7 @@ JobState Job::run_slice(std::size_t budget) {
       error_ = "unknown error";
     }
     state_ = JobState::Failed;
+    live_.reset();
     return state_;
   }
 
@@ -125,9 +91,14 @@ JobState Job::run_slice(std::size_t budget) {
     state_ = JobState::Cancelled;
   } else {
     state_ = JobState::Snapshotted;
-    resumable_ = preemptible();
+    return state_;
   }
+  live_.reset();
   return state_;
+}
+
+void Job::snapshot() {
+  if (state_ == JobState::Snapshotted && live_ != nullptr) live_->snapshot();
 }
 
 RunOutcome Job::run() {

@@ -2,15 +2,13 @@
 // work.
 //
 // A Job binds validated RunSettings to a problem and executes them in
-// SLICES: run_slice(budget) runs at most `budget` generations, then
-// preempts the run at the next generation barrier through the evolvers'
-// cooperative stop-token seam — the evolver snapshots into the v2
-// checkpoint chain and returns cleanly, and the next slice re-admits the
-// job with ResumeMode::Auto. Because stopping never consumes randomness
-// and resume replays the remaining generations bit-identically, a job cut
-// into any number of slices produces a front, evaluation count and final
-// checkpoint byte-identical to one uninterrupted run of the same settings
-// (the scheduler matrix test proves it).
+// SLICES: run_slice(budget) runs at most `budget` generations and pauses the
+// run at the generation barrier, keeping it live in memory
+// (detail::LiveRun) so the next slice continues it without writing or
+// reloading anything. A job cut into any number of slices therefore
+// produces the front, evaluation count, checkpoint writes and gen-level
+// trace of one uninterrupted run of the same settings (the scheduler
+// matrix test proves it). The first slice builds the live run.
 //
 // Lifecycle:
 //
@@ -27,8 +25,9 @@
 // reports the rejection in the job's result file instead of aborting.
 //
 // Jobs are movable (the scheduler keeps them in a vector) but not
-// copyable: a job owns its slice token and its identity on disk (the
-// checkpoint chain + trace file named in its settings).
+// copyable: a job owns its live run, which sits on the heap and refers to
+// nothing inside the Job, and its identity on disk (the checkpoint chain
+// and trace file named in its settings).
 #pragma once
 
 #include <cstddef>
@@ -36,7 +35,6 @@
 #include <memory>
 #include <string>
 
-#include "common/cancel.hpp"
 #include "expt/runner.hpp"
 #include "problems/integrator_problem.hpp"
 
@@ -47,7 +45,7 @@ namespace anadex::expt {
 enum class JobState {
   Pending,      ///< admitted, no slice run yet
   Running,      ///< a slice is executing right now
-  Snapshotted,  ///< preempted or stopped at a barrier; checkpoint written
+  Snapshotted,  ///< paused or stopped at a barrier; the run stays live in memory
   Done,         ///< ran its full generation budget; outcome() is final
   Failed,       ///< a slice threw; error() / rethrow via run()
   Cancelled,    ///< cancel() observed; the job will not run again
@@ -67,45 +65,32 @@ class Job {
   /// PreconditionError on invalid settings.
   static Job from_settings(RunSettings settings);
 
-  Job(Job&&) noexcept = default;
-  Job& operator=(Job&&) noexcept = default;
+  ~Job();
+  Job(Job&&) noexcept;
+  Job& operator=(Job&&) noexcept;
   Job(const Job&) = delete;
   Job& operator=(const Job&) = delete;
 
   JobState state() const { return state_; }
   const RunSettings& settings() const { return settings_; }
 
-  /// The registry-generated config digest this job's checkpoints carry
-  /// (run_config_digest over the admitted settings; see
-  /// settings_registry.hpp). Stable across slices — every resume compares
-  /// it verbatim before continuing, so two jobs with equal digests and
-  /// equal CheckpointMeta are interchangeable on the same chain.
-  std::string config_digest() const { return run_config_digest(settings_); }
   const problems::IntegratorProblem& problem() const { return *problem_; }
 
-  /// True when the job can be preempted mid-run and resumed later — it
-  /// checkpoints (checkpoint_path set; WeightedSum never qualifies). A
-  /// non-preemptible job ignores slice budgets and runs to completion in
-  /// its first slice.
-  bool preemptible() const { return !settings_.checkpoint_path.empty(); }
+  /// True when a slice budget can pause the job mid-run. Every algorithm
+  /// but WeightedSum, which runs whole in its first slice.
+  bool preemptible() const { return settings_.algo != Algo::WeightedSum; }
 
-  /// True when run_slice may be called: Pending, or Snapshotted with a
-  /// checkpoint on disk to resume from. The scheduler skips non-runnable
-  /// jobs (a stopped job without a checkpoint path stays Snapshotted but
-  /// can never continue).
+  /// True when run_slice may be called: Pending or Snapshotted.
   bool runnable() const {
-    return state_ == JobState::Pending ||
-           (state_ == JobState::Snapshotted && resumable_);
+    return state_ == JobState::Pending || state_ == JobState::Snapshotted;
   }
 
   /// Runs at most `budget` generations (0 = unlimited) and returns the
-  /// resulting state. The budget is enforced at the generation barrier via
-  /// the evolvers' stop-token seam: the slice ends with a checkpoint and
-  /// state Snapshotted, never mid-generation. Slices after the first
-  /// re-admit the checkpoint with ResumeMode::Auto and append a fresh
-  /// trace segment. Callable only in Pending or a resumable Snapshotted
-  /// state. A raised settings.stop token or a pending cancel() also ends
-  /// the slice at the next barrier.
+  /// resulting state. The first slice builds the live run; a budget pause
+  /// leaves it in memory (state Snapshotted) and the next slice continues
+  /// it. A raised settings.stop token ends the slice at the next barrier
+  /// with an off-cycle checkpoint, as in a solo run; a pending cancel()
+  /// ends it there too. Callable only in Pending or Snapshotted.
   JobState run_slice(std::size_t budget);
 
   /// Runs the job to completion (one unlimited slice) and returns the
@@ -119,10 +104,16 @@ class Job {
   /// its next generation barrier. Terminal states are unaffected.
   void cancel();
 
+  /// Writes a Snapshotted job's state to its checkpoint chain unless the
+  /// chain already holds that generation, so a later process resumes it
+  /// there (ResumeMode::Auto). No-op without a checkpoint path or a live
+  /// run. The scheduler calls it for every job at shutdown.
+  void snapshot();
+
   /// Outcome of the most recent slice. For Done jobs this is the final
-  /// result; for Snapshotted jobs it describes the stopping point (front,
-  /// metrics, cumulative generations/evaluations), per the runner's
-  /// interrupted-outcome contract. Meaningless before the first slice.
+  /// result; for Snapshotted jobs it describes the pausing point (front,
+  /// metrics, cumulative generations/evaluations, `interrupted` set).
+  /// Meaningless before the first slice.
   const RunOutcome& outcome() const { return outcome_; }
 
   /// Generations completed across all slices (cumulative through resume).
@@ -136,21 +127,17 @@ class Job {
 
  private:
   // Owned in shared_ptr form so Job stays movable and the non-owning
-  // constructor can alias the caller's problem (empty deleter idiom, as
-  // runner.cpp does for the guard chain).
+  // constructor can alias the caller's problem (empty deleter idiom). The
+  // live run holds its own copy of this pointer.
   std::shared_ptr<const problems::IntegratorProblem> problem_;
   RunSettings settings_;
   JobState state_ = JobState::Pending;
-  // CancelToken is pinned (workers may hold a pointer), so the movable Job
-  // holds it behind a unique_ptr.
-  std::unique_ptr<CancelToken> slice_stop_;
+  /// The run between slices: built by the first slice, released when the
+  /// job reaches a terminal state.
+  std::unique_ptr<detail::LiveRun> live_;
   RunOutcome outcome_;
   std::size_t slices_run_ = 0;
   bool cancel_requested_ = false;
-  /// False when a slice stopped with nothing saved (no checkpoint path):
-  /// re-running could not reproduce the interrupted run, so run_slice
-  /// refuses.
-  bool resumable_ = false;
   std::string error_;
   std::exception_ptr error_ptr_;
 };

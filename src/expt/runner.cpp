@@ -37,25 +37,6 @@ using Clock = std::chrono::steady_clock;
 constexpr double kHvPowerRef = 1.2e-3;
 constexpr double kHvAxisRef = 5.1e-12;
 
-moga::GenerationCallback make_history_recorder(const RunSettings& settings,
-                                               std::vector<HistoryPoint>& history) {
-  if (!settings.record_history) return {};
-  const std::size_t stride = settings.history_stride;  // validated > 0
-  return [&history, stride](std::size_t gen, const moga::Population& population) {
-    if ((gen + 1) % stride != 0) return;
-    const moga::Population front = moga::extract_global_front(population);
-    HistoryPoint point;
-    point.generation = gen + 1;
-    point.front_size = front.size();
-    point.front_area = front_area_of(to_front_samples(front));
-    history.push_back(point);
-  };
-}
-
-}  // namespace
-
-namespace {
-
 /// Per-type digest serializers: one `put` overload per DIGEST-row field
 /// type, each emitting " tag=value" with a canonical, locale-free value
 /// spelling (textio::exact for doubles — resume compares the digest
@@ -333,347 +314,193 @@ sacga::IslandParams detail::island_params_from(const RunSettings& settings) {
   return params;
 }
 
-RunOutcome detail::run_impl(const problems::IntegratorProblem& problem,
-                            const RunSettings& settings) {
-  validate_run_settings(settings);
-  // Sharded execution never reaches run_impl: the coordinator
-  // (shard::run_sharded) runs one worker per shard and merges. A sharded
-  // RunSettings silently executed solo would LOOK fine but ignore --shards,
-  // so refuse loudly instead.
-  ANADEX_REQUIRE(settings.shards <= 1,
-                 "run_impl: shards > 1 must be executed via shard::run_sharded "
-                 "(anadex explore --shards), not an in-process Job");
+namespace detail {
+namespace {
 
-  // Telemetry sink for the whole run. Stays null (and costs one pointer
-  // test per instrumentation site) unless a trace file was requested.
-  std::optional<obs::JsonlTraceWriter> trace;
-  obs::EventSink* sink = nullptr;
-  if (!settings.trace_path.empty() && settings.trace_level != obs::TraceLevel::Off) {
-    trace.emplace(settings.trace_path, settings.trace_level, settings.trace_append);
-    sink = &*trace;
-  }
-  if (sink != nullptr && sink->enabled(obs::TraceLevel::Gen)) {
-    // Deliberately no thread count or timestamps here: the gen-level trace
-    // must be bit-identical across thread counts (docs/observability.md).
-    const std::string algo = algo_name(settings.algo);
-    const obs::Field fields[] = {
-        obs::str("algo", algo),
-        obs::str("spec", settings.spec.name),
-        obs::u64("population", settings.population),
-        obs::u64("generations", settings.generations),
-        obs::u64("seed", settings.seed),
-    };
-    sink->record(obs::Event{"run_start", obs::TraceLevel::Gen, false, fields});
-  }
-  if (sink != nullptr && sink->enabled(obs::TraceLevel::Eval)) {
-    const obs::Field fields[] = {
-        obs::u64("threads", settings.threads),
-        obs::u64("hardware_concurrency", std::thread::hardware_concurrency()),
-        obs::str("batch_eval", engine::to_string(settings.batch_eval)),
-    };
-    sink->record(obs::Event{"env", obs::TraceLevel::Eval, true, fields});
-  }
+double front_hypervolume(const moga::Population& front) {
+  return hypervolume_of(to_front_samples(front));
+}
 
-  // Every evaluation flows through the fault guard (non-owning alias; the
-  // caller's problem outlives the run). Clean evaluators pass through
-  // untouched, so guarded runs are bit-identical to unguarded ones. The
-  // chaos seam slots a deterministic fault injector between the two.
-  std::shared_ptr<const moga::Problem> inner(std::shared_ptr<void>(), &problem);
-  std::shared_ptr<robust::FaultInjectingProblem> injector;
-  if (settings.fault_injection.has_value()) {
-    injector = std::make_shared<robust::FaultInjectingProblem>(
-        inner, *settings.fault_injection);
-    inner = injector;
-  }
-  robust::GuardedProblem guarded(inner, settings.guard);
-
-  // Stuck-eval watchdog plumbing. The token lives here (outliving every
-  // per-algorithm EvalEngine) and is shared between the engine's deadline
-  // thread (raiser), the guard (fail-fast poller) and the injector's
-  // cooperative slow-spin path.
-  CancelToken eval_cancel_token;
-  const double eval_deadline_s = settings.eval_deadline_s.value_or(0.0);
-  if (settings.eval_deadline_s.has_value()) {
-    guarded.set_cancel_token(&eval_cancel_token);
-    if (injector != nullptr) injector->set_cancel_token(&eval_cancel_token);
-  }
-
-  RunOutcome outcome;
-  moga::GenerationCallback callback = make_history_recorder(settings, outcome.history);
-  if (settings.on_generation) {
-    if (callback) {
-      callback = [history = std::move(callback), user = settings.on_generation](
-                     std::size_t gen, const moga::Population& population) {
-        history(gen, population);
-        user(gen, population);
+/// What every live run owns besides its evolver: the trace writer, the
+/// guard chain over the problem, the watchdog token, the checkpoint
+/// chain's identity, the resume source and the history. Built once per
+/// run, on the heap, and kept for the run's life.
+class RunBase : public LiveRun {
+ protected:
+  RunBase(std::shared_ptr<const problems::IntegratorProblem> problem, RunSettings settings)
+      : settings_(std::move(settings)) {
+    // Telemetry sink for the whole run. Stays null (and costs one pointer
+    // test per instrumentation site) unless a trace file was requested.
+    if (!settings_.trace_path.empty() && settings_.trace_level != obs::TraceLevel::Off) {
+      trace_.emplace(settings_.trace_path, settings_.trace_level);
+      sink_ = &*trace_;
+    }
+    if (sink_ != nullptr && sink_->enabled(obs::TraceLevel::Gen)) {
+      // Deliberately no thread count or timestamps here: the gen-level trace
+      // must be bit-identical across thread counts (docs/observability.md).
+      const std::string algo = algo_name(settings_.algo);
+      const obs::Field fields[] = {
+          obs::str("algo", algo),
+          obs::str("spec", settings_.spec.name),
+          obs::u64("population", settings_.population),
+          obs::u64("generations", settings_.generations),
+          obs::u64("seed", settings_.seed),
       };
-    } else {
-      callback = settings.on_generation;
+      sink_->record(obs::Event{"run_start", obs::TraceLevel::Gen, false, fields});
     }
-  }
-
-  const bool checkpointing = !settings.checkpoint_path.empty();
-  robust::CheckpointMeta meta;
-  meta.algo = algo_name(settings.algo);
-  meta.seed = settings.seed;
-  meta.population = settings.population;
-  meta.generations = settings.generations;
-  meta.config = run_config_digest(settings);
-
-  // Holds the restored algorithm state alive for the whole run (the algo
-  // params keep only a non-owning pointer into it).
-  robust::Checkpoint resume_cp;
-  bool resumed = false;
-  if (settings.resume == ResumeMode::Strict) {
-    resume_cp = robust::read_checkpoint_file(settings.checkpoint_path);
-    outcome.resumed_from_path = settings.checkpoint_path;
-    resumed = true;
-  } else if (settings.resume == ResumeMode::Auto) {
-    // Crash recovery: fall back past corrupt/truncated slots to the newest
-    // one that checksum-verifies; with no usable slot, start fresh — so the
-    // same `--resume auto` invocation works on the very first run too.
-    auto recovered = robust::recover_checkpoint(settings.checkpoint_path);
-    if (recovered.has_value()) {
-      resume_cp = std::move(recovered->checkpoint);
-      outcome.resumed_from_path = recovered->path;
-      resumed = true;
-    }
-  }
-  if (resumed) {
-    ANADEX_REQUIRE(resume_cp.meta == meta,
-                   "checkpoint '" + outcome.resumed_from_path +
-                       "' was written by a different run configuration");
-    guarded.set_report(resume_cp.faults);
-    for (const auto& s : resume_cp.history) {
-      outcome.history.push_back({s.generation, s.front_area, s.front_size});
-    }
-  }
-
-  // Shared epilogue for every algorithm's on_snapshot hook: attach the run
-  // identity, cumulative faults and history, then write atomically (with
-  // rotation and the chaos harness's crash seam).
-  robust::CheckpointWriteOptions cp_options;
-  cp_options.keep = settings.checkpoint_keep;
-  cp_options.hook = settings.checkpoint_write_hook;
-  const auto write_cp = [&](robust::Checkpoint cp) {
-    cp.meta = meta;
-    cp.faults = guarded.report();
-    for (const auto& h : outcome.history) {
-      cp.history.push_back({h.generation, h.front_area, h.front_size});
-    }
-    robust::write_checkpoint_file(settings.checkpoint_path, cp, cp_options);
-  };
-
-  // Wiring shared by every checkpointable algorithm: seed + thread count,
-  // the snapshot hook writing into the algorithm's Checkpoint slot, and the
-  // resume pointer. EvolverCommon gives all six algorithms one shape, so no
-  // per-algorithm special cases remain below.
-  const auto wire_common = [&]<class State>(engine::EvolverCommon<State>& common,
-                                            std::optional<State> robust::Checkpoint::*slot,
-                                            auto&& resumed_generation) {
-    static_cast<engine::EvalKnobs&>(common) = settings;
-    common.seed = settings.seed;
-    common.sink = sink;
-    common.stop = settings.stop;
-    if (settings.eval_deadline_s.has_value()) {
-      common.eval_deadline_s = eval_deadline_s;
-      common.eval_cancel = &eval_cancel_token;
-    }
-    if (sink != nullptr) {
-      common.trace_hypervolume = [](const moga::Population& front) {
-        return hypervolume_of(to_front_samples(front));
+    if (sink_ != nullptr && sink_->enabled(obs::TraceLevel::Eval)) {
+      const obs::Field fields[] = {
+          obs::u64("threads", settings_.threads),
+          obs::u64("hardware_concurrency", std::thread::hardware_concurrency()),
+          obs::str("batch_eval", engine::to_string(settings_.batch_eval)),
       };
+      sink_->record(obs::Event{"env", obs::TraceLevel::Eval, true, fields});
     }
-    if (checkpointing) {
-      common.snapshot_every = settings.checkpoint_every;
-      common.on_snapshot = [&write_cp, slot](const State& state) {
+
+    // Every evaluation flows through the fault guard, which keeps the
+    // problem alive. Clean evaluators pass through untouched, so guarded
+    // runs are bit-identical to unguarded ones. The chaos seam slots a
+    // deterministic fault injector between the two.
+    std::shared_ptr<const moga::Problem> inner = std::move(problem);
+    std::shared_ptr<robust::FaultInjectingProblem> injector;
+    if (settings_.fault_injection.has_value()) {
+      injector = std::make_shared<robust::FaultInjectingProblem>(inner,
+                                                                 *settings_.fault_injection);
+      inner = injector;
+    }
+    guarded_.emplace(inner, settings_.guard);
+    // Stuck-eval watchdog plumbing: the token is shared between the
+    // engine's deadline thread (raiser), the guard (fail-fast poller) and
+    // the injector's cooperative slow-spin path.
+    if (settings_.eval_deadline_s.has_value()) {
+      guarded_->set_cancel_token(&eval_cancel_);
+      if (injector != nullptr) injector->set_cancel_token(&eval_cancel_);
+    }
+
+    meta_.algo = algo_name(settings_.algo);
+    meta_.seed = settings_.seed;
+    meta_.population = settings_.population;
+    meta_.generations = settings_.generations;
+    meta_.config = run_config_digest(settings_);
+    cp_options_.keep = settings_.checkpoint_keep;
+    cp_options_.hook = settings_.checkpoint_write_hook;
+
+    if (settings_.resume == ResumeMode::Strict) {
+      resume_ = robust::read_checkpoint_file(settings_.checkpoint_path);
+      resumed_from_path_ = settings_.checkpoint_path;
+    } else if (settings_.resume == ResumeMode::Auto) {
+      // Crash recovery: fall back past corrupt/truncated slots to the newest
+      // one that checksum-verifies; with no usable slot, start fresh — so
+      // the same `--resume auto` invocation works on the very first run.
+      auto recovered = robust::recover_checkpoint(settings_.checkpoint_path);
+      if (recovered.has_value()) {
+        resume_ = std::move(recovered->checkpoint);
+        resumed_from_path_ = recovered->path;
+      }
+    }
+    if (resume_.has_value()) {
+      ANADEX_REQUIRE(resume_->meta == meta_, "checkpoint '" + resumed_from_path_ +
+                                                 "' was written by a different run "
+                                                 "configuration");
+      guarded_->set_report(resume_->faults);
+      for (const auto& s : resume_->history) {
+        history_.push_back({s.generation, s.front_area, s.front_size});
+      }
+    }
+    run_timer_.emplace(sink_, "run", obs::TraceLevel::Eval);
+  }
+
+  const moga::Problem& problem() const { return *guarded_; }
+
+  /// `params` with the knobs every checkpointing algorithm shares wired
+  /// in: seed, execution knobs, telemetry, stop token, watchdog, the
+  /// snapshot hook writing into the algorithm's Checkpoint slot, and the
+  /// resume source.
+  template <class Params, class State>
+  Params wired(Params params, std::optional<State> robust::Checkpoint::*slot) {
+    engine::EvolverCommon<State>& common = params;
+    static_cast<engine::EvalKnobs&>(common) = settings_;
+    common.seed = settings_.seed;
+    common.sink = sink_;
+    common.stop = settings_.stop;
+    if (settings_.eval_deadline_s.has_value()) {
+      common.eval_deadline_s = *settings_.eval_deadline_s;
+      common.eval_cancel = &eval_cancel_;
+    }
+    if (sink_ != nullptr) common.trace_hypervolume = front_hypervolume;
+    if (!settings_.checkpoint_path.empty()) {
+      common.snapshot_every = settings_.checkpoint_every;
+      common.on_snapshot = [this, slot](const State& state) {
         robust::Checkpoint cp;
         cp.*slot = state;
-        write_cp(std::move(cp));
+        write_checkpoint(std::move(cp));
       };
     }
-    if (resumed) {
-      const std::optional<State>& stored = resume_cp.*slot;
+    if (resume_.has_value()) {
+      const std::optional<State>& stored = *resume_.*slot;
       ANADEX_REQUIRE(stored.has_value(),
                      "checkpoint state does not match the requested algorithm");
       common.resume = &*stored;
-      outcome.resumed_from_generation = resumed_generation(*stored);
     }
-  };
-
-  // Cache accounting common to every algorithm result. With the cache off
-  // distinct == requested and cache_hits == 0.
-  const auto record_eval_stats = [&outcome](const engine::EvalStats& stats) {
-    outcome.distinct_evaluations = stats.evaluated;
-    outcome.cache_hits = stats.cache_hits();
-  };
-
-  const auto start = Clock::now();
-  obs::ScopedTimer run_timer(sink, "run", obs::TraceLevel::Eval);
-
-  moga::Population front;
-  switch (settings.algo) {
-    case Algo::TPG: {
-      moga::Nsga2Params params;
-      params.population_size = settings.population;
-      params.generations = settings.generations;
-      wire_common(params, &robust::Checkpoint::nsga2,
-                  [](const moga::Nsga2State& s) { return s.next_generation; });
-      auto result = moga::run_nsga2(guarded, params, callback);
-      front = std::move(result.front);
-      outcome.evaluations = result.evaluations;
-      record_eval_stats(result.eval_stats);
-      outcome.generations = result.generations_run;
-      outcome.interrupted = result.interrupted;
-      break;
-    }
-    case Algo::LocalOnly: {
-      sacga::LocalOnlyParams params;
-      params.population_size = settings.population;
-      params.partitions = settings.partitions;
-      params.axis_objective = 1;
-      params.axis_lo = 0.0;
-      params.axis_hi = problems::kLoadMax;
-      params.generations = settings.generations;
-      wire_common(params, &robust::Checkpoint::local_only,
-                  [](const sacga::LocalOnlyState& s) { return s.evolver.generation; });
-      auto result = sacga::run_local_only(guarded, params, callback);
-      front = std::move(result.front);
-      outcome.evaluations = result.evaluations;
-      record_eval_stats(result.eval_stats);
-      outcome.generations = result.generations_run;
-      outcome.interrupted = result.interrupted;
-      break;
-    }
-    case Algo::SACGA: {
-      sacga::SacgaParams params;
-      params.population_size = settings.population;
-      params.partitions = settings.partitions;
-      params.axis_objective = 1;
-      params.axis_lo = 0.0;
-      params.axis_hi = problems::kLoadMax;
-      // Keep the phase-I cap sensible for small total budgets.
-      params.phase1_max_generations = std::min<std::size_t>(
-          settings.phase1_cap, std::max<std::size_t>(settings.generations / 4, 1));
-      params.span = settings.generations;
-      params.span_is_total_budget = true;
-      wire_common(params, &robust::Checkpoint::sacga,
-                  [](const sacga::SacgaState& s) { return s.evolver.generation; });
-      auto result = sacga::run_sacga(guarded, params, callback);
-      front = std::move(result.front);
-      outcome.evaluations = result.evaluations;
-      record_eval_stats(result.eval_stats);
-      outcome.generations = result.generations_run;
-      outcome.interrupted = result.interrupted;
-      break;
-    }
-    case Algo::MESACGA: {
-      sacga::MesacgaParams params;
-      params.population_size = settings.population;
-      params.partition_schedule = settings.mesacga_schedule;
-      params.axis_objective = 1;
-      params.axis_lo = 0.0;
-      params.axis_hi = problems::kLoadMax;
-      params.phase1_max_generations = settings.phase1_cap;
-      if (settings.span == 0) {
-        params.phase1_max_generations = std::min<std::size_t>(
-            settings.phase1_cap, std::max<std::size_t>(settings.generations / 4, 1));
-      }
-      if (settings.span > 0) {
-        params.span = settings.span;
-      } else {
-        ANADEX_REQUIRE(settings.generations > params.phase1_max_generations,
-                       "MESACGA budget must exceed the phase-I cap");
-        params.total_budget = settings.generations;
-      }
-      wire_common(params, &robust::Checkpoint::mesacga,
-                  [](const sacga::MesacgaState& s) { return s.evolver.generation; });
-      auto result = sacga::run_mesacga(guarded, params, callback);
-      front = std::move(result.front);
-      outcome.evaluations = result.evaluations;
-      record_eval_stats(result.eval_stats);
-      outcome.generations = result.generations_run;
-      outcome.interrupted = result.interrupted;
-      for (const auto& phase : result.phases) {
-        PhaseMetric metric;
-        metric.phase = phase.phase;
-        metric.partitions = phase.partitions;
-        metric.front_area = front_area_of(to_front_samples(phase.front));
-        outcome.phases.push_back(metric);
-      }
-      break;
-    }
-    case Algo::Island: {
-      sacga::IslandParams params = detail::island_params_from(settings);
-      wire_common(params, &robust::Checkpoint::island,
-                  [](const sacga::IslandState& s) { return s.next_generation; });
-      auto result = sacga::run_island_ga(guarded, params, callback);
-      front = std::move(result.front);
-      outcome.evaluations = result.evaluations;
-      record_eval_stats(result.eval_stats);
-      outcome.generations = result.generations_run;
-      outcome.interrupted = result.interrupted;
-      break;
-    }
-    case Algo::WeightedSum: {
-      moga::WeightedSumParams params;
-      params.weight_count = settings.weight_count;
-      params.population_size = std::max<std::size_t>(settings.population / 2, 4) & ~1ULL;
-      // Match the evaluation budget of a population-GA run of the same
-      // settings: weights * pop/2 * gens_per_weight ~= pop * generations.
-      params.generations_per_weight = std::max<std::size_t>(
-          2 * settings.generations / settings.weight_count, 1);
-      static_cast<engine::EvalKnobs&>(params) = settings;
-      params.seed = settings.seed;
-      params.sink = sink;
-      if (sink != nullptr) {
-        params.trace_hypervolume = [](const moga::Population& pop) {
-          return hypervolume_of(to_front_samples(pop));
-        };
-      }
-      auto result = moga::run_weighted_sum(guarded, params);
-      front = std::move(result.front);
-      outcome.evaluations = result.evaluations;
-      record_eval_stats(result.eval_stats);
-      outcome.generations = settings.generations;
-      break;
-    }
-    case Algo::SPEA2: {
-      moga::Spea2Params params;
-      params.population_size = settings.population;
-      params.archive_size = settings.population;
-      params.generations = settings.generations;
-      wire_common(params, &robust::Checkpoint::spea2,
-                  [](const moga::Spea2State& s) { return s.next_generation; });
-      auto result = moga::run_spea2(guarded, params, callback);
-      front = std::move(result.front);
-      outcome.evaluations = result.evaluations;
-      record_eval_stats(result.eval_stats);
-      outcome.generations = result.generations_run;
-      outcome.interrupted = result.interrupted;
-      break;
-    }
+    return params;
   }
 
-  outcome.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  outcome.faults = guarded.report();
-  outcome.front = to_front_samples(front);
-  std::sort(outcome.front.begin(), outcome.front.end(),
-            [](const FrontSample& a, const FrontSample& b) { return a.cload_f < b.cload_f; });
-  outcome.front_area = front_area_of(outcome.front);
-  outcome.hypervolume_norm = hypervolume_of(outcome.front);
-
-  std::vector<double> loads;
-  loads.reserve(outcome.front.size());
-  for (const auto& s : outcome.front) loads.push_back(s.cload_f);
-  outcome.clustering_4to5 = moga::clustering_fraction(loads, 4e-12, 5e-12);
-  if (!loads.empty()) {
-    const auto [lo, hi] = std::minmax_element(loads.begin(), loads.end());
-    outcome.load_span_pf = (*hi - *lo) * 1e12;
+  /// The on_generation observer: the history recorder, then the caller's.
+  moga::GenerationCallback observer() {
+    const std::size_t stride = settings_.history_stride;  // validated > 0
+    const bool record = settings_.record_history;
+    return [this, stride, record, user = settings_.on_generation](
+               std::size_t gen, const moga::Population& population) {
+      if (record && (gen + 1) % stride == 0) {
+        const moga::Population front = moga::extract_global_front(population);
+        history_.push_back({gen + 1, front_area_of(to_front_samples(front)), front.size()});
+      }
+      if (user) user(gen, population);
+    };
   }
 
-  run_timer.stop();
-  if (sink != nullptr && sink->enabled(obs::TraceLevel::Gen)) {
+  /// Starts and stops the clock behind RunOutcome::seconds, which counts
+  /// the run's own time: building it and every advance(), not the pauses
+  /// between slices.
+  void start_clock() { clock_start_ = Clock::now(); }
+  void stop_clock() {
+    seconds_ += std::chrono::duration<double>(Clock::now() - clock_start_).count();
+  }
+
+  /// The outcome at `barrier` from the algorithm's result: accounting,
+  /// metrics, history, faults and provenance. Closes the trace (`fault`,
+  /// `shutdown`, `run_end` records) when the run finished or the stop token
+  /// ended it.
+  RunOutcome outcome_at(moga::Barrier barrier, const moga::EvolverResult& result) {
+    stop_clock();
+    RunOutcome outcome;
+    outcome.evaluations = result.evaluations;
+    outcome.distinct_evaluations = result.eval_stats.evaluated;
+    outcome.cache_hits = result.eval_stats.cache_hits();
+    outcome.generations = result.generations_run;
+    outcome.interrupted = barrier != moga::Barrier::Finished;
+    outcome.seconds = seconds_;
+    outcome.history = history_;
+    outcome.faults = guarded_->report();
+    outcome.resumed_from_generation = resumed_generation_;
+    outcome.resumed_from_path = resumed_from_path_;
+    outcome.front = to_front_samples(result.front);
+    std::sort(outcome.front.begin(), outcome.front.end(),
+              [](const FrontSample& a, const FrontSample& b) { return a.cload_f < b.cload_f; });
+    outcome.front_area = front_area_of(outcome.front);
+    outcome.hypervolume_norm = hypervolume_of(outcome.front);
+    std::vector<double> loads;
+    loads.reserve(outcome.front.size());
+    for (const auto& s : outcome.front) loads.push_back(s.cload_f);
+    outcome.clustering_4to5 = moga::clustering_fraction(loads, 4e-12, 5e-12);
+    if (!loads.empty()) {
+      const auto [lo, hi] = std::minmax_element(loads.begin(), loads.end());
+      outcome.load_span_pf = (*hi - *lo) * 1e12;
+    }
+
+    if (barrier == moga::Barrier::Paused) return outcome;
+    run_timer_->stop();
+    if (sink_ == nullptr || !sink_->enabled(obs::TraceLevel::Gen)) return outcome;
     // Absent in clean runs: a `fault` record summarizing every evaluation
     // fault the guard absorbed, and a `shutdown` record when the stop token
     // ended the run early. Both are pure observation.
@@ -687,11 +514,11 @@ RunOutcome detail::run_impl(const problems::IntegratorProblem& problem,
           obs::u64("recovered", outcome.faults.recovered),
           obs::u64("penalized", outcome.faults.penalized),
       };
-      sink->record(obs::Event{"fault", obs::TraceLevel::Gen, false, fault_fields});
+      sink_->record(obs::Event{"fault", obs::TraceLevel::Gen, false, fault_fields});
     }
-    if (outcome.interrupted) {
+    if (barrier == moga::Barrier::Stopped) {
       const obs::Field stop_fields[] = {obs::u64("generation", outcome.generations)};
-      sink->record(obs::Event{"shutdown", obs::TraceLevel::Gen, false, stop_fields});
+      sink_->record(obs::Event{"shutdown", obs::TraceLevel::Gen, false, stop_fields});
     }
     const obs::Field fields[] = {
         obs::u64("evaluations", outcome.evaluations),
@@ -701,10 +528,185 @@ RunOutcome detail::run_impl(const problems::IntegratorProblem& problem,
         obs::f64("hv", outcome.hypervolume_norm),
         obs::u64("faults", outcome.faults.total_faults()),
     };
-    sink->record(obs::Event{"run_end", obs::TraceLevel::Gen, false, fields});
+    sink_->record(obs::Event{"run_end", obs::TraceLevel::Gen, false, fields});
+    return outcome;
   }
-  return outcome;
+
+  const RunSettings settings_;
+  obs::EventSink* sink_ = nullptr;
+  /// The generation the run was restored at (0 for a fresh run); set by
+  /// the algorithm's run once its evolver is built.
+  std::size_t resumed_generation_ = 0;
+
+ private:
+  /// Attaches the run identity, cumulative faults and history to `cp`, then
+  /// writes it atomically (with rotation and the chaos harness's crash
+  /// seam).
+  void write_checkpoint(robust::Checkpoint cp) {
+    cp.meta = meta_;
+    cp.faults = guarded_->report();
+    for (const auto& h : history_) cp.history.push_back({h.generation, h.front_area, h.front_size});
+    robust::write_checkpoint_file(settings_.checkpoint_path, cp, cp_options_);
+  }
+
+  Clock::time_point clock_start_ = Clock::now();
+  double seconds_ = 0.0;  ///< time spent building and advancing the run
+  std::optional<obs::JsonlTraceWriter> trace_;
+  std::optional<robust::GuardedProblem> guarded_;
+  CancelToken eval_cancel_;
+  robust::CheckpointMeta meta_;
+  robust::CheckpointWriteOptions cp_options_;
+  /// The restored checkpoint; the evolver reads its state when built.
+  std::optional<robust::Checkpoint> resume_;
+  std::string resumed_from_path_;
+  std::vector<HistoryPoint> history_;
+  std::optional<obs::ScopedTimer> run_timer_;
+};
+
+/// A checkpointing algorithm's live run: its step object under a
+/// GenerationDriver.
+template <class Evolver>
+class EvolverRun final : public RunBase {
+ public:
+  template <class Params>
+  EvolverRun(std::shared_ptr<const problems::IntegratorProblem> problem,
+             const RunSettings& settings, Params params,
+             std::optional<typename Evolver::State> robust::Checkpoint::*slot)
+      : RunBase(std::move(problem), settings),
+        evolver_(RunBase::problem(), wired(std::move(params), slot)),
+        driver_(evolver_, observer()) {
+    if (evolver_.params().resume != nullptr) resumed_generation_ = evolver_.generation();
+    stop_clock();
+  }
+
+  RunOutcome advance(std::size_t budget) override {
+    start_clock();
+    const moga::Barrier barrier = driver_.run(budget);
+    // A finished run is released next, so its result may move out of it.
+    const auto result = barrier == moga::Barrier::Finished ? std::move(evolver_).result()
+                                                           : evolver_.result();
+    RunOutcome outcome = outcome_at(barrier, result);
+    if constexpr (requires { result.phases; }) {
+      for (const auto& phase : result.phases) {
+        outcome.phases.push_back({phase.phase, phase.partitions,
+                                  front_area_of(to_front_samples(phase.front))});
+      }
+    }
+    return outcome;
+  }
+
+  void halt() override { driver_.halt(); }
+  void snapshot() override { driver_.snapshot(); }
+
+ private:
+  Evolver evolver_;
+  moga::GenerationDriver<Evolver> driver_;
+};
+
+/// WeightedSum never checkpoints, so it runs whole in its first advance().
+class WeightedSumRun final : public RunBase {
+ public:
+  WeightedSumRun(std::shared_ptr<const problems::IntegratorProblem> problem,
+                 const RunSettings& settings)
+      : RunBase(std::move(problem), settings) {}
+
+  RunOutcome advance(std::size_t) override {
+    moga::WeightedSumParams params;
+    params.weight_count = settings_.weight_count;
+    params.population_size = std::max<std::size_t>(settings_.population / 2, 4) & ~1ULL;
+    // Match the evaluation budget of a population-GA run of the same
+    // settings: weights * pop/2 * gens_per_weight ~= pop * generations.
+    params.generations_per_weight =
+        std::max<std::size_t>(2 * settings_.generations / settings_.weight_count, 1);
+    static_cast<engine::EvalKnobs&>(params) = settings_;
+    params.seed = settings_.seed;
+    params.sink = sink_;
+    if (sink_ != nullptr) params.trace_hypervolume = front_hypervolume;
+    auto weighted = moga::run_weighted_sum(problem(), params);
+    moga::EvolverResult result;
+    result.front = std::move(weighted.front);
+    result.evaluations = weighted.evaluations;
+    result.generations_run = settings_.generations;
+    result.eval_stats = weighted.eval_stats;
+    return outcome_at(moga::Barrier::Finished, result);
+  }
+
+  void halt() override {}
+  void snapshot() override {}
+};
+
+}  // namespace
+
+std::unique_ptr<LiveRun> start_run(std::shared_ptr<const problems::IntegratorProblem> problem,
+                                   const RunSettings& settings) {
+  switch (settings.algo) {
+    case Algo::TPG: {
+      moga::Nsga2Params params;
+      params.population_size = settings.population;
+      params.generations = settings.generations;
+      return std::make_unique<EvolverRun<moga::Nsga2>>(std::move(problem), settings, params,
+                                                       &robust::Checkpoint::nsga2);
+    }
+    case Algo::LocalOnly: {
+      sacga::LocalOnlyParams params;
+      params.population_size = settings.population;
+      params.partitions = settings.partitions;
+      params.axis_hi = problems::kLoadMax;
+      params.generations = settings.generations;
+      return std::make_unique<EvolverRun<sacga::LocalOnly>>(std::move(problem), settings, params,
+                                                            &robust::Checkpoint::local_only);
+    }
+    case Algo::SACGA: {
+      sacga::SacgaParams params;
+      params.population_size = settings.population;
+      params.partitions = settings.partitions;
+      params.axis_hi = problems::kLoadMax;
+      // Keep the phase-I cap sensible for small total budgets.
+      params.phase1_max_generations = std::min<std::size_t>(
+          settings.phase1_cap, std::max<std::size_t>(settings.generations / 4, 1));
+      params.span = settings.generations;
+      params.span_is_total_budget = true;
+      return std::make_unique<EvolverRun<sacga::Sacga>>(std::move(problem), settings, params,
+                                                        &robust::Checkpoint::sacga);
+    }
+    case Algo::MESACGA: {
+      sacga::MesacgaParams params;
+      params.population_size = settings.population;
+      params.partition_schedule = settings.mesacga_schedule;
+      params.axis_hi = problems::kLoadMax;
+      params.phase1_max_generations = settings.phase1_cap;
+      if (settings.span > 0) {
+        params.span = settings.span;
+      } else {
+        params.phase1_max_generations = std::min<std::size_t>(
+            settings.phase1_cap, std::max<std::size_t>(settings.generations / 4, 1));
+        ANADEX_REQUIRE(settings.generations > params.phase1_max_generations,
+                       "MESACGA budget must exceed the phase-I cap");
+        params.total_budget = settings.generations;
+      }
+      return std::make_unique<EvolverRun<sacga::Mesacga>>(std::move(problem), settings,
+                                                          std::move(params),
+                                                          &robust::Checkpoint::mesacga);
+    }
+    case Algo::Island:
+      return std::make_unique<EvolverRun<sacga::IslandGa>>(
+          std::move(problem), settings, island_params_from(settings), &robust::Checkpoint::island);
+    case Algo::WeightedSum:
+      return std::make_unique<WeightedSumRun>(std::move(problem), settings);
+    case Algo::SPEA2: {
+      moga::Spea2Params params;
+      params.population_size = settings.population;
+      params.archive_size = settings.population;
+      params.generations = settings.generations;
+      return std::make_unique<EvolverRun<moga::Spea2>>(std::move(problem), settings, params,
+                                                       &robust::Checkpoint::spea2);
+    }
+  }
+  ANADEX_ASSERT(false, "unknown algorithm");
+  return nullptr;
 }
+
+}  // namespace detail
 
 RunOutcome run(const problems::IntegratorProblem& problem, const RunSettings& settings) {
   Job job(problem, settings);

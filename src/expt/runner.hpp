@@ -5,13 +5,13 @@
 //
 // The unit of execution is an expt::Job (expt/job.hpp): validated
 // RunSettings + problem with a preemptible lifecycle
-// (Pending -> Running -> Snapshotted -> Done/Failed/Cancelled) built on the
-// v2 checkpoint chain — preempting a job snapshots it at a generation
-// barrier and a later slice re-admits it with ResumeMode::Auto, replaying
-// the remaining generations bit-identically. The free run() functions
-// below are thin wrappers (construct a Job, run it to completion) kept for
-// the existing call sites; new code — and the serve scheduler, which
-// time-slices many Jobs over one shared EvalEngine — should hold a Job.
+// (Pending -> Running -> Snapshotted -> Done/Failed/Cancelled). A job keeps
+// its run live in memory between slices (detail::LiveRun below), so
+// preempting one writes nothing and a later slice continues exactly where
+// the last one paused. The free run() functions below are thin wrappers
+// (construct a Job, run it to completion) kept for the existing call
+// sites; new code — and the serve scheduler, which time-slices many Jobs
+// over one shared EvalEngine — should hold a Job.
 //
 // This header owns the settings/outcome vocabulary: RunSettings (one
 // struct for every algorithm; validate_run_settings rejects nonsense
@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -150,11 +151,6 @@ struct RunSettings : engine::EvalKnobs {
   // across thread counts.
   std::string trace_path;                            ///< empty = no tracing
   obs::TraceLevel trace_level = obs::TraceLevel::Gen;
-  /// Open the trace file in append mode, adding one self-delimiting
-  /// header..trailer segment instead of truncating. Job slicing sets this
-  /// from the second slice on, so a preempted job's trace is one segment
-  /// per slice (scripts/check_trace.py --segments). An execution knob.
-  bool trace_append = false;
 };
 
 /// Validates `settings` with ANADEX_REQUIRE (population even and >= 4,
@@ -237,17 +233,43 @@ std::string run_config_digest(const RunSettings& settings);
 namespace detail {
 
 /// Island-GA parameters derived from RunSettings — the ONE place the
-/// population-to-island split is computed, shared by run_impl and the
+/// population-to-island split is computed, shared by start_run and the
 /// shard worker so both always agree on island sizing.
 sacga::IslandParams island_params_from(const RunSettings& settings);
 
-/// The single-slice execution engine behind Job::run_slice: validates,
-/// wires tracing/guard/watchdog/checkpointing and dispatches one
-/// uninterrupted run of `settings` over `problem`. Everything above this —
-/// lifecycle, slicing, resume chaining — lives in expt::Job. Not a public
-/// entry point; call Job (or the run() shims) instead.
-RunOutcome run_impl(const problems::IntegratorProblem& problem,
-                    const RunSettings& settings);
+/// One run in progress, built by start_run and advanced by expt::Job: the
+/// guard chain over the problem, the trace writer, the checkpoint chain's
+/// identity and history, the engine lease and the evolver under its
+/// generation driver (moga/generation_driver.hpp). It refers to nothing
+/// inside the Job, so a Job can move while its run is live.
+class LiveRun {
+ public:
+  LiveRun() = default;
+  LiveRun(const LiveRun&) = delete;  // callbacks inside hold its address
+  LiveRun& operator=(const LiveRun&) = delete;
+  virtual ~LiveRun() = default;
+
+  /// Runs at most `budget` generations (0 = to the end; WeightedSum always
+  /// runs whole) and returns the outcome there, `interrupted` unless the
+  /// run finished. Finishing closes the trace with `run_end`, the stop
+  /// token with `shutdown` + `run_end`, as in a solo run; a budget pause
+  /// writes nothing.
+  virtual RunOutcome advance(std::size_t budget) = 0;
+
+  /// Ends the current advance() at the next generation barrier, as an
+  /// exhausted budget does. Callable from the on_generation observer.
+  virtual void halt() = 0;
+
+  /// Writes the run's state to its checkpoint chain unless the chain
+  /// already holds this generation. No-op without a checkpoint path.
+  virtual void snapshot() = 0;
+};
+
+/// Builds the live run of validated `settings` over `problem`: opens the
+/// trace, restores the checkpoint chain per settings.resume and builds the
+/// algorithm's step object (evaluating a fresh run's initial population).
+std::unique_ptr<LiveRun> start_run(std::shared_ptr<const problems::IntegratorProblem> problem,
+                                   const RunSettings& settings);
 
 }  // namespace detail
 

@@ -76,7 +76,6 @@
   KNOB(eval_deadline_s,  "eval-deadline")                             \
   KNOB(trace_path,       "trace")                                     \
   KNOB(trace_level,      "trace-level")                               \
-  KNOB(trace_append,     "")                                          \
   /* Runtime wiring, never configuration. */                          \
   SEAM(checkpoint_write_hook)                                         \
   SEAM(stop)                                                          \

@@ -4,7 +4,6 @@
 #include <span>
 
 #include "common/check.hpp"
-#include "engine/engine_lease.hpp"
 #include "moga/dominance.hpp"
 #include "moga/nds.hpp"
 #include "moga/obs_trace.hpp"
@@ -12,129 +11,94 @@
 
 namespace anadex::moga {
 
-Nsga2Result run_nsga2(const Problem& problem, const Nsga2Params& params,
-                      const GenerationCallback& on_generation) {
+Nsga2::Nsga2(const Problem& problem, const Nsga2Params& params)
+    : EvolverCore(problem, params), rng_(params.seed) {
   ANADEX_REQUIRE(params.population_size >= 4 && params.population_size % 2 == 0,
                  "population size must be even and >= 4");
-  const auto bounds = problem.bounds();
-  ANADEX_REQUIRE(bounds.size() == problem.num_variables(),
+  ANADEX_REQUIRE(bounds_.size() == problem.num_variables(),
                  "problem bounds size must equal num_variables");
-
-  const engine::EngineLease eval(problem, params, params.sink,
-                                 engine::EvalWatchdog{params.eval_cancel,
-                                                      params.eval_deadline_s});
-  Rng rng(params.seed);
-  Nsga2Result result;
-
-  Population parents;
-  RankingScratch ranking;  // SoA buffers reused across generations
-  std::vector<std::vector<std::size_t>> fronts;
-  std::size_t start_generation = 0;
   if (params.resume != nullptr) {
-    const Nsga2State& state = *params.resume;
-    ANADEX_REQUIRE(state.parents.size() == params.population_size,
+    ANADEX_REQUIRE(params.resume->parents.size() == params.population_size,
                    "resume state population size does not match params");
-    ANADEX_REQUIRE(state.next_generation <= params.generations,
-                   "resume state is beyond the configured generation count");
-    parents = state.parents;
-    rng.set_state(state.rng);
-    result.evaluations = state.evaluations;
-    result.generations_run = state.next_generation;
-    start_generation = state.next_generation;
-  } else {
-    parents.resize(params.population_size);
-    for (auto& parent : parents) parent.genes = random_genome(bounds, rng);
-    eval.evaluate_members(parents);
-    result.evaluations += params.population_size;
-
-    // Initial ranking so tournament preferences are defined from generation 0.
-    fronts = ranking.sort(parents);
-    for (const auto& front : fronts) ranking.crowding(parents, front);
+    parents_ = params.resume->parents;
+    rng_.set_state(params.resume->rng);
+    return;
   }
+  parents_.resize(params.population_size);
+  for (auto& parent : parents_) parent.genes = random_genome(bounds_, rng_);
+  eval_.evaluate_members(parents_);
+  evaluations_ += params.population_size;
 
-  const Preference prefer = [](const Individual& a, const Individual& b) {
-    return crowded_less(a, b);
-  };
+  // Initial ranking so tournament preferences are defined from generation 0.
+  const auto fronts = ranking_.sort(parents_);
+  for (const auto& front : fronts) ranking_.crowding(parents_, front);
+}
 
-  for (std::size_t gen = start_generation; gen < params.generations; ++gen) {
-    auto offspring_genes = make_offspring(parents, bounds, params.variation, prefer,
-                                          params.population_size, rng);
+void Nsga2::step(const GenerationCallback& on_generation) {
+  const std::size_t n = params_.population_size;
+  auto offspring = make_offspring(parents_, bounds_, params_.variation, crowded_less, n, rng_);
+  Population combined = std::move(parents_);
+  combined.reserve(2 * n);
+  for (auto& genes : offspring) combined.emplace_back().genes = std::move(genes);
+  // One batch per generation: all offspring evaluated together.
+  eval_.evaluate_members(std::span<Individual>(combined).subspan(n));
+  evaluations_ += n;
+  select_survivors(parents_, std::move(combined), n, ranking_);
+  ANADEX_ASSERT(parents_.size() == n, "survivor selection must fill the population exactly");
 
-    Population combined;
-    combined.reserve(2 * params.population_size);
-    for (auto& p : parents) combined.push_back(std::move(p));
-    for (auto& genes : offspring_genes) {
-      Individual child;
-      child.genes = std::move(genes);
-      combined.push_back(std::move(child));
-    }
-    // One batch per generation: all offspring evaluated together.
-    eval.evaluate_members(
-        std::span<Individual>(combined).subspan(params.population_size));
-    result.evaluations += params.population_size;
+  const std::size_t gen = generation_++;
+  if (on_generation) on_generation(gen, parents_);
+  trace_generation(params_.sink, gen, evaluations_, parents_, params_.trace_hypervolume);
+}
 
-    fronts = ranking.sort(combined);
-    for (const auto& front : fronts) ranking.crowding(combined, front);
+void select_survivors(Population& survivors, Population&& pool, std::size_t n,
+                      RankingScratch& ranking) {
+  const auto fronts = ranking.sort(pool);
+  for (const auto& front : fronts) ranking.crowding(pool, front);
 
-    Population next;
-    next.reserve(params.population_size);
-    for (const auto& front : fronts) {
-      if (next.size() + front.size() <= params.population_size) {
-        for (std::size_t idx : front) next.push_back(std::move(combined[idx]));
-      } else {
-        std::vector<std::size_t> sorted(front.begin(), front.end());
-        std::sort(sorted.begin(), sorted.end(), [&](std::size_t a, std::size_t b) {
-          return combined[a].crowding > combined[b].crowding;
-        });
-        for (std::size_t idx : sorted) {
-          if (next.size() == params.population_size) break;
-          next.push_back(std::move(combined[idx]));
-        }
+  Population next;
+  next.reserve(n);
+  for (const auto& front : fronts) {
+    if (next.size() + front.size() <= n) {
+      for (std::size_t idx : front) next.push_back(std::move(pool[idx]));
+    } else {
+      std::vector<std::size_t> sorted(front.begin(), front.end());
+      std::sort(sorted.begin(), sorted.end(), [&](std::size_t a, std::size_t b) {
+        return pool[a].crowding > pool[b].crowding;
+      });
+      for (std::size_t idx : sorted) {
+        if (next.size() == n) break;
+        next.push_back(std::move(pool[idx]));
       }
-      if (next.size() == params.population_size) break;
     }
-    ANADEX_ASSERT(next.size() == params.population_size,
-                  "survivor selection must fill the population exactly");
-    parents = std::move(next);
-
-    if (on_generation) on_generation(gen, parents);
-    trace_generation(params.sink, gen, result.evaluations, parents,
-                     params.trace_hypervolume);
-    ++result.generations_run;
-
-    const bool at_snapshot_barrier =
-        params.snapshot_every > 0 && (gen + 1) % params.snapshot_every == 0;
-    if (at_snapshot_barrier && params.on_snapshot) {
-      Nsga2State state;
-      state.parents = parents;
-      state.rng = rng.state();
-      state.next_generation = gen + 1;
-      state.evaluations = result.evaluations;
-      params.on_snapshot(state);
-    }
-
-    // Graceful-stop barrier: a raised stop token ends the run here, after a
-    // complete generation, with an off-cycle snapshot (unless the regular
-    // barrier above just wrote one) so resume continues from gen + 1.
-    if (params.stop != nullptr && params.stop->requested() &&
-        gen + 1 < params.generations) {
-      if (params.on_snapshot && !at_snapshot_barrier) {
-        Nsga2State state;
-        state.parents = parents;
-        state.rng = rng.state();
-        state.next_generation = gen + 1;
-        state.evaluations = result.evaluations;
-        params.on_snapshot(state);
-      }
-      result.interrupted = true;
-      break;
-    }
+    if (next.size() == n) break;
   }
+  survivors = std::move(next);
+}
 
-  result.front = extract_global_front(parents);
-  result.population = std::move(parents);
-  result.eval_stats = eval.stats();
+Nsga2State Nsga2::state() const {
+  Nsga2State state;
+  state.parents = parents_;
+  state.rng = rng_.state();
+  state.next_generation = generation_;
+  state.evaluations = evaluations_;
+  return state;
+}
+
+Nsga2Result Nsga2::result() const {
+  Nsga2Result result;
+  result.front = extract_global_front(parents_);
+  result.population = parents_;
+  result.evaluations = evaluations_;
+  result.generations_run = generation_;
+  result.eval_stats = eval_.stats();
   return result;
+}
+
+Nsga2Result run_nsga2(const Problem& problem, const Nsga2Params& params,
+                      const GenerationCallback& on_generation) {
+  Nsga2 evolver(problem, params);
+  return run_to_end(evolver, on_generation);
 }
 
 Population extract_global_front(const Population& population) {

@@ -4,13 +4,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "engine/eval_cache.hpp"
 #include "engine/evolver_common.hpp"
+#include "moga/generation_driver.hpp"
 #include "moga/individual.hpp"
+#include "moga/nds.hpp"
 #include "moga/operators.hpp"
 #include "moga/problem.hpp"
 
@@ -34,22 +34,34 @@ struct Nsga2Params : engine::EvolverCommon<Nsga2State> {
   VariationParams variation;
 };
 
-/// Per-generation observer; receives the generation index (0-based, after
-/// survivor selection) and the current population.
-using GenerationCallback = std::function<void(std::size_t, const Population&)>;
-
 /// Result of an NSGA-II run.
-struct Nsga2Result {
-  Population population;             ///< final parent population, ranked
-  Population front;                  ///< feasible rank-0 members of the final population
-  std::size_t evaluations = 0;       ///< total problem evaluations requested
-  std::size_t generations_run = 0;
-  engine::EvalStats eval_stats;      ///< requested/distinct/cache-hit accounting
-  /// True when the run returned early because the stop token was raised; a
-  /// snapshot of the stopping point was taken (when on_snapshot is set), so
-  /// the run can be resumed to completion.
-  bool interrupted = false;
+struct Nsga2Result : EvolverResult {
+  Population population;  ///< final parent population, ranked
 };
+
+/// NSGA-II as a step object (moga/generation_driver.hpp): built fresh or
+/// from params.resume, step() runs one generation.
+class Nsga2 : public EvolverCore<Nsga2Params> {
+ public:
+  using State = Nsga2State;
+
+  Nsga2(const Problem& problem, const Nsga2Params& params);
+
+  void step(const GenerationCallback& on_generation);
+  State state() const;
+  Nsga2Result result() const;
+
+ private:
+  Rng rng_;
+  Population parents_;
+  RankingScratch ranking_;  ///< SoA buffers reused across generations
+};
+
+/// NSGA-II elitist survivor selection: ranks and crowds `pool` (every
+/// member evaluated) and moves its best `n` into `survivors`, whole fronts
+/// first, the last front cut by crowding distance.
+void select_survivors(Population& survivors, Population&& pool, std::size_t n,
+                      RankingScratch& ranking);
 
 /// Runs NSGA-II on `problem`. Deterministic for a fixed seed.
 Nsga2Result run_nsga2(const Problem& problem, const Nsga2Params& params,

@@ -7,7 +7,6 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "engine/engine_lease.hpp"
 #include "moga/dominance.hpp"
 #include "moga/obs_trace.hpp"
 #include "moga/selection.hpp"
@@ -104,125 +103,104 @@ void truncate_archive(Population& members, std::size_t target) {
 
 }  // namespace
 
-Spea2Result run_spea2(const Problem& problem, const Spea2Params& params,
-                      const GenerationCallback& on_generation) {
+Spea2::Spea2(const Problem& problem, const Spea2Params& params)
+    : EvolverCore(problem, params), rng_(params.seed) {
   ANADEX_REQUIRE(params.population_size >= 4 && params.population_size % 2 == 0,
                  "population size must be even and >= 4");
   ANADEX_REQUIRE(params.archive_size >= 2, "archive size must be >= 2");
-
-  const auto bounds = problem.bounds();
-  const engine::EngineLease eval(problem, params, params.sink,
-                                 engine::EvalWatchdog{params.eval_cancel,
-                                                      params.eval_deadline_s});
-  Rng rng(params.seed);
-  Spea2Result result;
-
-  Population population;
-  Population archive;
-  std::size_t start_generation = 0;
   if (params.resume != nullptr) {
-    const Spea2State& state = *params.resume;
-    ANADEX_REQUIRE(state.population.size() == params.population_size,
+    ANADEX_REQUIRE(params.resume->population.size() == params.population_size,
                    "resume state population size does not match params");
-    ANADEX_REQUIRE(state.next_generation <= params.generations,
-                   "resume state is beyond the configured generation count");
-    population = state.population;
-    archive = state.archive;
-    rng.set_state(state.rng);
-    result.evaluations = state.evaluations;
-    result.generations_run = state.next_generation;
-    start_generation = state.next_generation;
-  } else {
-    population.resize(params.population_size);
-    for (auto& member : population) member.genes = random_genome(bounds, rng);
-    eval.evaluate_members(population);
-    result.evaluations += params.population_size;
+    population_ = params.resume->population;
+    archive_ = params.resume->archive;
+    rng_.set_state(params.resume->rng);
+    return;
+  }
+  population_.resize(params.population_size);
+  for (auto& member : population_) member.genes = random_genome(bounds_, rng_);
+  eval_.evaluate_members(population_);
+  evaluations_ += params.population_size;
+}
+
+void Spea2::step(const GenerationCallback& on_generation) {
+  Population pool = archive_;
+  pool.insert(pool.end(), population_.begin(), population_.end());
+
+  const auto fitness = spea2_fitness(pool);
+  // Store fitness in the (otherwise unused) crowding slot, negated so the
+  // shared tournament preference "larger crowding wins" selects the
+  // LOWER SPEA2 fitness; rank ties at 0.
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    pool[i].rank = 0;
+    pool[i].crowding = -fitness[i];
   }
 
-  for (std::size_t gen = start_generation; gen < params.generations; ++gen) {
-    Population pool = archive;
-    pool.insert(pool.end(), population.begin(), population.end());
-
-    const auto fitness = spea2_fitness(pool);
-    // Store fitness in the (otherwise unused) crowding slot, negated so the
-    // shared tournament preference "larger crowding wins" selects the
-    // LOWER SPEA2 fitness; rank ties at 0.
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      pool[i].rank = 0;
-      pool[i].crowding = -fitness[i];
-    }
-
-    // Environmental selection: all with fitness < 1 (nondominated), then
-    // truncate or fill to archive_size.
-    Population next_archive;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (fitness[i] < 1.0) next_archive.push_back(pool[i]);
-    }
-    if (next_archive.size() > params.archive_size) {
-      truncate_archive(next_archive, params.archive_size);
-    } else if (next_archive.size() < params.archive_size) {
-      std::vector<std::size_t> order(pool.size());
-      std::iota(order.begin(), order.end(), 0);
-      std::sort(order.begin(), order.end(),
-                [&](std::size_t a, std::size_t b) { return fitness[a] < fitness[b]; });
-      for (std::size_t idx : order) {
-        if (next_archive.size() == params.archive_size) break;
-        if (fitness[idx] >= 1.0) next_archive.push_back(pool[idx]);
-      }
-    }
-    archive = std::move(next_archive);
-
-    // Mating selection from the archive (binary tournament on fitness).
-    const Preference prefer = [](const Individual& a, const Individual& b) {
-      return a.crowding > b.crowding;  // negated fitness: larger wins
-    };
-    auto offspring = make_offspring(archive, bounds, params.variation, prefer,
-                                    params.population_size, rng);
-    population.clear();
-    for (auto& genes : offspring) {
-      Individual child;
-      child.genes = std::move(genes);
-      population.push_back(std::move(child));
-    }
-    // One batch per generation: the whole offspring population at once.
-    eval.evaluate_members(population);
-    result.evaluations += population.size();
-
-    ++result.generations_run;
-    if (on_generation) on_generation(gen, archive);
-    if (params.sink != nullptr && params.sink->enabled(obs::TraceLevel::Gen)) {
-      // The filled archive reuses rank 0 for every member, so pass the true
-      // non-dominated front explicitly.
-      trace_generation(params.sink, gen, result.evaluations, archive,
-                       extract_global_front(archive), params.trace_hypervolume);
-    }
-
-    const bool at_snapshot_barrier =
-        params.snapshot_every > 0 && (gen + 1) % params.snapshot_every == 0;
-    const auto snapshot = [&] {
-      Spea2State state;
-      state.population = population;
-      state.archive = archive;
-      state.rng = rng.state();
-      state.next_generation = gen + 1;
-      state.evaluations = result.evaluations;
-      params.on_snapshot(state);
-    };
-    if (at_snapshot_barrier && params.on_snapshot) snapshot();
-
-    // Graceful-stop barrier (see nsga2.cpp): snapshot off-cycle and return.
-    if (params.stop != nullptr && params.stop->requested() &&
-        gen + 1 < params.generations) {
-      if (params.on_snapshot && !at_snapshot_barrier) snapshot();
-      result.interrupted = true;
-      break;
+  // Environmental selection: all with fitness < 1 (nondominated), then
+  // truncate or fill to archive_size.
+  Population next_archive;
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    if (fitness[i] < 1.0) next_archive.push_back(pool[i]);
+  }
+  if (next_archive.size() > params_.archive_size) {
+    truncate_archive(next_archive, params_.archive_size);
+  } else if (next_archive.size() < params_.archive_size) {
+    std::vector<std::size_t> order(pool.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return fitness[a] < fitness[b]; });
+    for (std::size_t idx : order) {
+      if (next_archive.size() == params_.archive_size) break;
+      if (fitness[idx] >= 1.0) next_archive.push_back(pool[idx]);
     }
   }
+  archive_ = std::move(next_archive);
 
-  result.front = extract_global_front(archive);
-  result.archive = std::move(archive);
-  result.eval_stats = eval.stats();
+  // Mating selection from the archive (binary tournament on fitness).
+  const Preference prefer = [](const Individual& a, const Individual& b) {
+    return a.crowding > b.crowding;  // negated fitness: larger wins
+  };
+  auto offspring = make_offspring(archive_, bounds_, params_.variation, prefer,
+                                  params_.population_size, rng_);
+  population_.clear();
+  for (auto& genes : offspring) population_.emplace_back().genes = std::move(genes);
+  // One batch per generation: the whole offspring population at once.
+  eval_.evaluate_members(population_);
+  evaluations_ += population_.size();
+
+  const std::size_t gen = generation_++;
+  if (on_generation) on_generation(gen, archive_);
+  if (params_.sink != nullptr && params_.sink->enabled(obs::TraceLevel::Gen)) {
+    // The filled archive reuses rank 0 for every member, so pass the true
+    // non-dominated front explicitly.
+    trace_generation(params_.sink, gen, evaluations_, archive_,
+                     extract_global_front(archive_), params_.trace_hypervolume);
+  }
+}
+
+Spea2State Spea2::state() const {
+  Spea2State state;
+  state.population = population_;
+  state.archive = archive_;
+  state.rng = rng_.state();
+  state.next_generation = generation_;
+  state.evaluations = evaluations_;
+  return state;
+}
+
+Spea2Result Spea2::result() const {
+  Spea2Result result;
+  result.front = extract_global_front(archive_);
+  result.archive = archive_;
+  result.evaluations = evaluations_;
+  result.generations_run = generation_;
+  result.eval_stats = eval_.stats();
   return result;
+}
+
+Spea2Result run_spea2(const Problem& problem, const Spea2Params& params,
+                      const GenerationCallback& on_generation) {
+  Spea2 evolver(problem, params);
+  return run_to_end(evolver, on_generation);
 }
 
 }  // namespace anadex::moga

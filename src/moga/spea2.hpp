@@ -35,18 +35,31 @@ struct Spea2Params : engine::EvolverCommon<Spea2State> {
   VariationParams variation;
 };
 
-struct Spea2Result {
+struct Spea2Result : EvolverResult {
   Population archive;  ///< final external archive (the front approximation)
-  Population front;    ///< feasible non-dominated members of the archive
-  std::size_t evaluations = 0;
-  std::size_t generations_run = 0;
-  engine::EvalStats eval_stats;  ///< requested/distinct/cache-hit accounting
-  bool interrupted = false;      ///< stop token ended the run early (snapshotted)
 };
 
-/// Runs SPEA2. Infeasible individuals are handled by adding a large
-/// violation-proportional penalty to their fitness so feasible solutions
-/// always rank ahead. Deterministic per seed.
+/// SPEA2 as a step object (moga/generation_driver.hpp): built fresh or from
+/// params.resume, step() runs one generation. Infeasible individuals are
+/// handled by adding a large violation-proportional penalty to their
+/// fitness so feasible solutions always rank ahead.
+class Spea2 : public EvolverCore<Spea2Params> {
+ public:
+  using State = Spea2State;
+
+  Spea2(const Problem& problem, const Spea2Params& params);
+
+  void step(const GenerationCallback& on_generation);
+  State state() const;
+  Spea2Result result() const;
+
+ private:
+  Rng rng_;
+  Population population_;
+  Population archive_;
+};
+
+/// Runs SPEA2. Deterministic per seed.
 Spea2Result run_spea2(const Problem& problem, const Spea2Params& params,
                       const GenerationCallback& on_generation = {});
 

@@ -35,8 +35,8 @@ class JsonlTraceWriter final : public EventSink {
   /// the parent directory to exist and `level` != Off. Writes the
   /// trace_start header immediately either way, so an appended trace is a
   /// sequence of self-delimiting header..trailer SEGMENTS — one per writer
-  /// lifetime. `anadex serve` appends one segment per job slice;
-  /// scripts/check_trace.py --segments validates the framing.
+  /// lifetime. `anadex serve` appends one segment per daemon run to its
+  /// service trace; scripts/check_trace.py --segments validates the framing.
   JsonlTraceWriter(const std::string& path, TraceLevel level, bool append = false);
   ~JsonlTraceWriter() override;
 

@@ -6,37 +6,11 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "engine/engine_lease.hpp"
 #include "moga/nds.hpp"
 #include "moga/obs_trace.hpp"
 #include "moga/selection.hpp"
 
 namespace anadex::sacga {
-
-void island_select_survivors(moga::Population& island, moga::Population&& pool,
-                             std::size_t n, moga::RankingScratch& ranking) {
-  auto fronts = ranking.sort(pool);
-  for (const auto& front : fronts) ranking.crowding(pool, front);
-
-  moga::Population next;
-  next.reserve(n);
-  for (const auto& front : fronts) {
-    if (next.size() + front.size() <= n) {
-      for (std::size_t idx : front) next.push_back(std::move(pool[idx]));
-    } else {
-      std::vector<std::size_t> sorted(front.begin(), front.end());
-      std::sort(sorted.begin(), sorted.end(), [&](std::size_t a, std::size_t b) {
-        return pool[a].crowding > pool[b].crowding;
-      });
-      for (std::size_t idx : sorted) {
-        if (next.size() == n) break;
-        next.push_back(std::move(pool[idx]));
-      }
-    }
-    if (next.size() == n) break;
-  }
-  island = std::move(next);
-}
 
 moga::Population island_emigrants(const moga::Population& island, std::size_t migrants) {
   std::vector<std::size_t> order(island.size());
@@ -85,147 +59,117 @@ void migrate(std::vector<moga::Population>& islands, std::size_t migrants) {
 
 }  // namespace
 
-IslandResult run_island_ga(const moga::Problem& problem, const IslandParams& params,
-                           const moga::GenerationCallback& on_generation) {
+IslandGa::IslandGa(const moga::Problem& problem, const IslandParams& params)
+    : EvolverCore(problem, params), islands_(params.islands) {
   ANADEX_REQUIRE(params.islands >= 2, "island GA needs at least two islands");
   ANADEX_REQUIRE(params.island_population >= 4 && params.island_population % 2 == 0,
                  "island population must be even and >= 4");
   ANADEX_REQUIRE(params.migration_interval >= 1, "migration interval must be >= 1");
   ANADEX_REQUIRE(params.migrants <= params.island_population,
                  "cannot migrate more individuals than an island holds");
-
-  const auto bounds = problem.bounds();
-  const engine::EngineLease eval(problem, params, params.sink,
-                                 engine::EvalWatchdog{params.eval_cancel,
-                                                      params.eval_deadline_s});
-  Rng rng(params.seed);
-  IslandResult result;
-  moga::RankingScratch ranking;  // SoA buffers shared by all islands
-
-  std::vector<moga::Population> islands(params.islands);
-  std::vector<Rng> island_rngs;
-  island_rngs.reserve(params.islands);
-  std::size_t start_generation = 0;
+  rngs_.reserve(params.islands);
   if (params.resume != nullptr) {
     const IslandState& state = *params.resume;
     ANADEX_REQUIRE(state.islands.size() == params.islands &&
                        state.rngs.size() == params.islands,
                    "resume state island count does not match params");
-    ANADEX_REQUIRE(state.next_generation <= params.generations,
-                   "resume state is beyond the configured generation count");
-    islands = state.islands;
-    for (const auto& rng_state : state.rngs) {
-      island_rngs.emplace_back(1);
-      island_rngs.back().set_state(rng_state);
-    }
-    start_generation = state.next_generation;
-    result.generations_run = state.next_generation;
-    result.evaluations = state.evaluations;
-    result.migrations = state.migrations;
-  } else {
-    // Genomes are drawn per island (each from its private RNG, in island
-    // order) first, then evaluated in per-island batches.
-    for (auto& island : islands) {
-      island_rngs.push_back(rng.split());
-      island.resize(params.island_population);
-      for (auto& member : island) {
-        member.genes = moga::random_genome(bounds, island_rngs.back());
-      }
-    }
-    for (auto& island : islands) {
-      eval.evaluate_members(island);
-      result.evaluations += island.size();
-    }
-    for (auto& island : islands) {
-      auto fronts = ranking.sort(island);
-      for (const auto& front : fronts) ranking.crowding(island, front);
-    }
+    islands_ = state.islands;
+    for (const auto& rng_state : state.rngs) rngs_.emplace_back(1).set_state(rng_state);
+    migrations_ = state.migrations;
+    return;
+  }
+  // Genomes are drawn per island (each from its private RNG, split from the
+  // master RNG in island order) first, then evaluated in per-island batches.
+  Rng rng(params.seed);
+  for (auto& island : islands_) {
+    rngs_.push_back(rng.split());
+    island.resize(params.island_population);
+    for (auto& member : island) member.genes = moga::random_genome(bounds_, rngs_.back());
+  }
+  for (auto& island : islands_) {
+    eval_.evaluate_members(island);
+    evaluations_ += island.size();
+  }
+  for (auto& island : islands_) {
+    auto fronts = ranking_.sort(island);
+    for (const auto& front : fronts) ranking_.crowding(island, front);
+  }
+}
+
+void IslandGa::step(const moga::GenerationCallback& on_generation) {
+  // Stage 1: every island breeds offspring from its own RNG stream.
+  const std::size_t n = params_.island_population;
+  moga::Population children;
+  children.reserve(islands_.size() * n);
+  for (std::size_t i = 0; i < islands_.size(); ++i) {
+    auto offspring = moga::make_offspring(islands_[i], bounds_, params_.variation,
+                                          moga::crowded_less, n, rngs_[i]);
+    for (auto& genes : offspring) children.emplace_back().genes = std::move(genes);
   }
 
-  const moga::Preference prefer = [](const moga::Individual& a, const moga::Individual& b) {
-    return moga::crowded_less(a, b);
-  };
+  // Stage 2: one evaluation batch spanning ALL islands' offspring.
+  eval_.evaluate_members(children);
+  evaluations_ += children.size();
 
-  for (std::size_t gen = start_generation; gen < params.generations; ++gen) {
-    // Stage 1: every island breeds offspring from its own RNG stream.
-    const std::size_t n = params.island_population;
-    moga::Population children;
-    children.reserve(islands.size() * n);
-    for (std::size_t i = 0; i < islands.size(); ++i) {
-      auto offspring = moga::make_offspring(islands[i], bounds, params.variation, prefer, n,
-                                            island_rngs[i]);
-      for (auto& genes : offspring) {
-        moga::Individual child;
-        child.genes = std::move(genes);
-        children.push_back(std::move(child));
-      }
-    }
-
-    // Stage 2: one evaluation batch spanning ALL islands' offspring.
-    eval.evaluate_members(children);
-    result.evaluations += children.size();
-
-    // Stage 3: per-island elitist survivor selection.
-    for (std::size_t i = 0; i < islands.size(); ++i) {
-      moga::Population pool;
-      pool.reserve(2 * n);
-      for (auto& p : islands[i]) pool.push_back(std::move(p));
-      for (std::size_t k = 0; k < n; ++k) pool.push_back(std::move(children[i * n + k]));
-      island_select_survivors(islands[i], std::move(pool), n, ranking);
-    }
-    if ((gen + 1) % params.migration_interval == 0) {
-      migrate(islands, params.migrants);
-      ++result.migrations;
-    }
-    ++result.generations_run;
-    const bool tracing =
-        params.sink != nullptr && params.sink->enabled(obs::TraceLevel::Gen);
-    if (on_generation || tracing) {
-      moga::Population combined;
-      for (const auto& island : islands) {
-        combined.insert(combined.end(), island.begin(), island.end());
-      }
-      if (on_generation) on_generation(gen, combined);
-      moga::trace_generation(params.sink, gen, result.evaluations, combined,
-                             params.trace_hypervolume);
-      if (tracing && (gen + 1) % params.migration_interval == 0) {
-        const obs::Field fields[] = {obs::u64("gen", gen),
-                                     obs::u64("migrations", result.migrations)};
-        params.sink->record(obs::Event{"migration", obs::TraceLevel::Gen, false, fields});
-      }
-    }
-
-    const bool at_snapshot_barrier =
-        params.snapshot_every > 0 && (gen + 1) % params.snapshot_every == 0;
-    const auto snapshot = [&] {
-      IslandState state;
-      state.islands = islands;
-      state.rngs.reserve(island_rngs.size());
-      for (const auto& island_rng : island_rngs) state.rngs.push_back(island_rng.state());
-      state.next_generation = gen + 1;
-      state.evaluations = result.evaluations;
-      state.migrations = result.migrations;
-      params.on_snapshot(state);
-    };
-    if (at_snapshot_barrier && params.on_snapshot) snapshot();
-
-    // Graceful-stop barrier (see nsga2.cpp): snapshot off-cycle and return.
-    if (params.stop != nullptr && params.stop->requested() &&
-        gen + 1 < params.generations) {
-      if (params.on_snapshot && !at_snapshot_barrier) snapshot();
-      result.interrupted = true;
-      break;
+  // Stage 3: per-island elitist survivor selection.
+  for (std::size_t i = 0; i < islands_.size(); ++i) {
+    moga::Population pool;
+    pool.reserve(2 * n);
+    for (auto& p : islands_[i]) pool.push_back(std::move(p));
+    for (std::size_t k = 0; k < n; ++k) pool.push_back(std::move(children[i * n + k]));
+    island_select_survivors(islands_[i], std::move(pool), n, ranking_);
+  }
+  const std::size_t gen = generation_++;
+  const bool migrating = generation_ % params_.migration_interval == 0;
+  if (migrating) {
+    migrate(islands_, params_.migrants);
+    ++migrations_;
+  }
+  const bool tracing = params_.sink != nullptr && params_.sink->enabled(obs::TraceLevel::Gen);
+  if (on_generation || tracing) {
+    const moga::Population everyone = combined();
+    if (on_generation) on_generation(gen, everyone);
+    moga::trace_generation(params_.sink, gen, evaluations_, everyone,
+                           params_.trace_hypervolume);
+    if (tracing && migrating) {
+      const obs::Field fields[] = {obs::u64("gen", gen), obs::u64("migrations", migrations_)};
+      params_.sink->record(obs::Event{"migration", obs::TraceLevel::Gen, false, fields});
     }
   }
+}
 
-  for (auto& island : islands) {
-    result.population.insert(result.population.end(),
-                             std::make_move_iterator(island.begin()),
-                             std::make_move_iterator(island.end()));
-  }
+moga::Population IslandGa::combined() const {
+  moga::Population everyone;
+  for (const auto& island : islands_) everyone.insert(everyone.end(), island.begin(), island.end());
+  return everyone;
+}
+
+IslandState IslandGa::state() const {
+  IslandState state;
+  state.islands = islands_;
+  state.rngs.reserve(rngs_.size());
+  for (const auto& rng : rngs_) state.rngs.push_back(rng.state());
+  state.next_generation = generation_;
+  state.evaluations = evaluations_;
+  state.migrations = migrations_;
+  return state;
+}
+
+IslandResult IslandGa::result() const {
+  IslandResult result;
+  result.population = combined();
   result.front = moga::extract_global_front(result.population);
-  result.eval_stats = eval.stats();
+  result.evaluations = evaluations_;
+  result.generations_run = generation_;
+  result.migrations = migrations_;
+  result.eval_stats = eval_.stats();
   return result;
+}
+
+IslandResult run_island_ga(const moga::Problem& problem, const IslandParams& params,
+                           const moga::GenerationCallback& on_generation) {
+  IslandGa evolver(problem, params);
+  return moga::run_to_end(evolver, on_generation);
 }
 
 }  // namespace anadex::sacga

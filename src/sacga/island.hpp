@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -45,20 +44,37 @@ struct IslandParams : engine::EvolverCommon<IslandState> {
   moga::VariationParams variation;
 };
 
-struct IslandResult {
+struct IslandResult : moga::EvolverResult {
   moga::Population population;  ///< union of all islands at the end
-  moga::Population front;       ///< feasible non-dominated set of the union
-  std::size_t evaluations = 0;
-  std::size_t generations_run = 0;
   std::size_t migrations = 0;
-  engine::EvalStats eval_stats;  ///< requested/distinct/cache-hit accounting
-  bool interrupted = false;      ///< stop token ended the run early (snapshotted)
 };
 
-/// Runs the island GA: each island evolves with NSGA-II ranking; every
-/// `migration_interval` generations the best (rank-0, most isolated)
-/// `migrants` of each island replace the worst members of the next island
-/// in the ring. Deterministic per seed.
+/// The island GA as a step object (moga/generation_driver.hpp): built
+/// fresh or from params.resume, step() runs one generation. Each island
+/// evolves with NSGA-II ranking; every `migration_interval` generations the
+/// best (rank-0, most isolated) `migrants` of each island replace the worst
+/// members of the next island in the ring.
+class IslandGa : public moga::EvolverCore<IslandParams> {
+ public:
+  using State = IslandState;
+
+  IslandGa(const moga::Problem& problem, const IslandParams& params);
+
+  void step(const moga::GenerationCallback& on_generation);
+  State state() const;
+  IslandResult result() const;
+
+ private:
+  /// Every island's members, in ring order.
+  moga::Population combined() const;
+
+  moga::RankingScratch ranking_;  ///< SoA buffers shared by all islands
+  std::vector<moga::Population> islands_;
+  std::vector<Rng> rngs_;  ///< parallel to islands_
+  std::size_t migrations_ = 0;
+};
+
+/// Runs the island GA. Deterministic per seed.
 IslandResult run_island_ga(const moga::Problem& problem, const IslandParams& params,
                            const moga::GenerationCallback& on_generation = {});
 
@@ -70,8 +86,10 @@ IslandResult run_island_ga(const moga::Problem& problem, const IslandParams& par
 /// NSGA-II elitist survivor selection over one island's parent+offspring
 /// pool (all members already evaluated). Leaves `island` ranked with
 /// crowding distances assigned.
-void island_select_survivors(moga::Population& island, moga::Population&& pool,
-                             std::size_t n, moga::RankingScratch& ranking);
+inline void island_select_survivors(moga::Population& island, moga::Population&& pool,
+                                    std::size_t n, moga::RankingScratch& ranking) {
+  moga::select_survivors(island, std::move(pool), n, ranking);
+}
 
 /// The `migrants` ring-travelling copies of `island`, best first ("best" =
 /// crowded_less order: rank 0 with the largest crowding). The island itself

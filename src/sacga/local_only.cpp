@@ -1,68 +1,28 @@
 #include "sacga/local_only.hpp"
 
-#include <optional>
-
 #include "common/check.hpp"
-#include "moga/obs_trace.hpp"
 #include "sacga/obs_trace.hpp"
 
 namespace anadex::sacga {
 
+LocalOnly::LocalOnly(const moga::Problem& problem, const LocalOnlyParams& params)
+    : params_(params),
+      evolver_(problem, EvolverParams::of(params),
+               Partitioner(params.axis_objective, params.axis_lo, params.axis_hi, params.partitions),
+               params.seed, params.resume != nullptr ? &params.resume->evolver : nullptr) {
+  ANADEX_REQUIRE(evolver_.generation() <= params.generations,
+                 "resume state is beyond the configured generation count");
+}
+
+void LocalOnly::step(const moga::GenerationCallback& on_generation) {
+  evolver_.step([](std::size_t) { return 0.0; });
+  report_generation(evolver_, /*phase=*/0, nullptr, 0, on_generation, params_);
+}
+
 LocalOnlyResult run_local_only(const moga::Problem& problem, const LocalOnlyParams& params,
                                const moga::GenerationCallback& on_generation) {
-  EvolverParams evolver_params;
-  static_cast<engine::EvalKnobs&>(evolver_params) = params;
-  evolver_params.population_size = params.population_size;
-  evolver_params.variation = params.variation;
-  evolver_params.sink = params.sink;
-  evolver_params.eval_deadline_s = params.eval_deadline_s;
-  evolver_params.eval_cancel = params.eval_cancel;
-
-  Partitioner partitioner(params.axis_objective, params.axis_lo, params.axis_hi,
-                          params.partitions);
-  std::optional<PartitionedEvolver> engine;
-  if (params.resume != nullptr) {
-    ANADEX_REQUIRE(params.resume->evolver.generation <= params.generations,
-                   "resume state is beyond the configured generation count");
-    engine.emplace(problem, evolver_params, std::move(partitioner), params.resume->evolver);
-  } else {
-    engine.emplace(problem, evolver_params, std::move(partitioner), params.seed);
-  }
-  PartitionedEvolver& evolver = *engine;
-
-  const ParticipationProbability never = [](std::size_t) { return 0.0; };
-  bool interrupted = false;
-  for (std::size_t gen = evolver.generation(); gen < params.generations; ++gen) {
-    evolver.step(never);
-    if (on_generation) on_generation(gen, evolver.population());
-    moga::trace_generation(params.sink, gen, evolver.evaluations(), evolver.population(),
-                           params.trace_hypervolume);
-    trace_sacga_generation(params.sink, evolver, gen, /*phase=*/0, nullptr, 0);
-    const bool at_snapshot_barrier =
-        params.snapshot_every > 0 && evolver.generation() % params.snapshot_every == 0;
-    if (at_snapshot_barrier && params.on_snapshot) {
-      params.on_snapshot(LocalOnlyState{evolver.snapshot()});
-    }
-
-    // Graceful-stop barrier (see nsga2.cpp): snapshot off-cycle and return.
-    if (params.stop != nullptr && params.stop->requested() &&
-        evolver.generation() < params.generations) {
-      if (params.on_snapshot && !at_snapshot_barrier) {
-        params.on_snapshot(LocalOnlyState{evolver.snapshot()});
-      }
-      interrupted = true;
-      break;
-    }
-  }
-
-  LocalOnlyResult result;
-  result.front = evolver.global_front();
-  result.population = evolver.population();
-  result.evaluations = evolver.evaluations();
-  result.generations_run = evolver.generation();
-  result.eval_stats = evolver.engine().stats();
-  result.interrupted = interrupted;
-  return result;
+  LocalOnly evolver(problem, params);
+  return moga::run_to_end(evolver, on_generation);
 }
 
 }  // namespace anadex::sacga

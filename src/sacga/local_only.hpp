@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "engine/evolver_common.hpp"
 #include "moga/nsga2.hpp"
@@ -32,13 +31,29 @@ struct LocalOnlyParams : engine::EvolverCommon<LocalOnlyState> {
   moga::VariationParams variation;
 };
 
-struct LocalOnlyResult {
+struct LocalOnlyResult : moga::EvolverResult {
   moga::Population population;  ///< final population
-  moga::Population front;       ///< feasible global Pareto front of the final population
-  std::size_t evaluations = 0;
-  std::size_t generations_run = 0;
-  engine::EvalStats eval_stats;   ///< requested/distinct/cache-hit accounting
-  bool interrupted = false;       ///< stop token ended the run early (snapshotted)
+};
+
+/// The pure local-competition GA as a step object
+/// (moga/generation_driver.hpp): built fresh or from params.resume, step()
+/// runs one generation.
+class LocalOnly {
+ public:
+  using State = LocalOnlyState;
+
+  LocalOnly(const moga::Problem& problem, const LocalOnlyParams& params);
+
+  void step(const moga::GenerationCallback& on_generation);
+  bool finished() const { return evolver_.generation() >= params_.generations; }
+  std::size_t generation() const { return evolver_.generation(); }
+  State state() const { return LocalOnlyState{evolver_.snapshot()}; }
+  const LocalOnlyParams& params() const { return params_; }
+  LocalOnlyResult result() const { return evolver_.result<LocalOnlyResult>(); }
+
+ private:
+  LocalOnlyParams params_;
+  PartitionedEvolver evolver_;
 };
 
 /// Runs the pure local-competition GA. Deterministic for a fixed seed.

@@ -1,16 +1,16 @@
 #include "sacga/mesacga.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <utility>
 
 #include "common/check.hpp"
-#include "moga/obs_trace.hpp"
 #include "sacga/obs_trace.hpp"
 
 namespace anadex::sacga {
 
-MesacgaResult run_mesacga(const moga::Problem& problem, const MesacgaParams& params,
-                          const moga::GenerationCallback& on_generation) {
+namespace {
+
+const MesacgaParams& checked(const MesacgaParams& params) {
   ANADEX_REQUIRE(!params.partition_schedule.empty(),
                  "MESACGA needs at least one phase in the partition schedule");
   for (std::size_t i = 0; i < params.partition_schedule.size(); ++i) {
@@ -21,157 +21,105 @@ MesacgaResult run_mesacga(const moga::Problem& problem, const MesacgaParams& par
     }
   }
   ANADEX_REQUIRE(params.span >= 1, "MESACGA needs a positive per-phase span");
-
-  EvolverParams evolver_params;
-  static_cast<engine::EvalKnobs&>(evolver_params) = params;
-  evolver_params.population_size = params.population_size;
-  evolver_params.variation = params.variation;
-  evolver_params.sink = params.sink;
-  evolver_params.eval_deadline_s = params.eval_deadline_s;
-  evolver_params.eval_cancel = params.eval_cancel;
-
-  std::optional<PartitionedEvolver> engine;
-  MesacgaResult result;
-  bool phase1_done = false;
-  std::size_t gen_t = 0;
-  if (params.resume != nullptr) {
-    const MesacgaState& state = *params.resume;
-    engine.emplace(problem, evolver_params,
-                   Partitioner(params.axis_objective, params.axis_lo, params.axis_hi,
-                               state.evolver.partitions),
-                   state.evolver);
-    phase1_done = state.phase1_done;
-    gen_t = state.phase1_generations;
-    result.phases = state.phases;
-  } else {
-    engine.emplace(problem, evolver_params,
-                   Partitioner(params.axis_objective, params.axis_lo, params.axis_hi,
-                               params.partition_schedule.front()),
-                   params.seed);
-  }
-  PartitionedEvolver& evolver = *engine;
-
-  const auto force_snapshot = [&params, &evolver, &result](bool done, std::size_t gen_t_now) {
-    if (!params.on_snapshot) return;
-    MesacgaState state;
-    state.evolver = evolver.snapshot();
-    state.phase1_done = done;
-    state.phase1_generations = gen_t_now;
-    state.phases = result.phases;
-    params.on_snapshot(state);
-  };
-  const auto at_snapshot_barrier = [&params, &evolver] {
-    return params.snapshot_every > 0 && evolver.generation() != 0 &&
-           evolver.generation() % params.snapshot_every == 0;
-  };
-  const auto maybe_snapshot = [&](bool done, std::size_t gen_t_now) {
-    if (at_snapshot_barrier()) force_snapshot(done, gen_t_now);
-  };
-
-  bool phase1_stopped = false;
-  if (!phase1_done) {
-    gen_t = run_phase1(
-        evolver, params.phase1_max_generations, on_generation, 0, evolver.generation(),
-        [&maybe_snapshot](const PartitionedEvolver&, std::size_t) { maybe_snapshot(false, 0); },
-        &params, params.stop, &phase1_stopped);
-    if (phase1_stopped) {
-      if (!at_snapshot_barrier()) force_snapshot(false, 0);
-      result.interrupted = true;
-    }
-  }
-  result.phase1_generations = gen_t;
-
-  std::size_t span = params.span;
   if (params.total_budget > 0) {
     ANADEX_REQUIRE(params.total_budget > params.phase1_max_generations,
                    "total budget must exceed the phase-I cap");
-    span = std::max<std::size_t>((params.total_budget - result.phase1_generations) /
-                                     params.partition_schedule.size(),
-                                 1);
   }
+  return params;
+}
 
-  const std::size_t phase_count = params.partition_schedule.size();
+}  // namespace
+
+Mesacga::Mesacga(const moga::Problem& problem, const MesacgaParams& params)
+    : params_(checked(params)),
+      evolver_(problem, EvolverParams::of(params),
+               partitioner(params.resume != nullptr ? params.resume->evolver.partitions
+                                                    : params.partition_schedule.front()),
+               params.seed, params.resume != nullptr ? &params.resume->evolver : nullptr) {
+  if (params.resume != nullptr) {
+    phases_ = params.resume->phases;
+    if (params.resume->phase1_done) begin_phase2(params.resume->phase1_generations);
+  }
+}
+
+Partitioner Mesacga::partitioner(std::size_t partitions) const {
+  return Partitioner(params_.axis_objective, params_.axis_lo, params_.axis_hi, partitions);
+}
+
+void Mesacga::begin_phase2(std::size_t gen_t) {
+  gen_t_ = gen_t;
+  const std::size_t phase_count = params_.partition_schedule.size();
+  span_ = params_.total_budget > 0
+              ? std::max<std::size_t>((params_.total_budget - gen_t) / phase_count, 1)
+              : params_.span;
   // Continuous annealing cools one schedule over the whole multi-phase run;
   // per-phase annealing restarts a span-long schedule in each phase.
-  const AnnealingSchedule whole_run_schedule = AnnealingSchedule::shaped(
-      params.shape, params.alpha, params.t_init, params.n_desired, span * phase_count);
-  const AnnealingSchedule per_phase_schedule = AnnealingSchedule::shaped(
-      params.shape, params.alpha, params.t_init, params.n_desired, span);
-  if constexpr (kCheckInvariants) {
-    whole_run_schedule.require_monotone_cooling();
-    per_phase_schedule.require_monotone_cooling();
+  schedule_.emplace(AnnealingSchedule::shaped(
+      params_.shape, params_.alpha, params_.t_init, params_.n_desired,
+      params_.continuous_annealing ? span_ * phase_count : span_));
+  if constexpr (kCheckInvariants) schedule_->require_monotone_cooling();
+}
+
+void Mesacga::step(const moga::GenerationCallback& on_generation) {
+  if (!schedule_) {
+    if (phase1_step(evolver_, params_.phase1_max_generations, on_generation, params_)) return;
+    begin_phase2(evolver_.generation());
   }
-
-  // A restored evolver may be partway through some phase; its position
-  // follows from the generation counter and gen_t.
-  const std::size_t completed = evolver.generation() - gen_t;
-  const std::size_t start_phase = completed / span;
-  const std::size_t start_offset = completed % span;
-
-  std::size_t generation = evolver.generation();
-  for (std::size_t phase = start_phase; !result.interrupted && phase < phase_count;
-       ++phase) {
-    // A mid-phase resume re-enters with the phase's partitioner already
-    // restored; re-partitioning here would desynchronize the RNG stream.
-    const bool entering_fresh = phase != start_phase || start_offset == 0;
-    if (phase > 0 && entering_fresh) {
-      // Expand partitions: fewer, wider bins over the same axis range.
-      evolver.set_partitioner(Partitioner(params.axis_objective, params.axis_lo,
-                                          params.axis_hi, params.partition_schedule[phase]));
-    }
-    if (entering_fresh) {
-      trace_phase_marker(params.sink, "phase_start", phase + 1,
-                         params.partition_schedule[phase], generation,
-                         /*front_size=*/0);
-    }
-    const AnnealingSchedule& schedule =
-        params.continuous_annealing ? whole_run_schedule : per_phase_schedule;
-
-    for (std::size_t offset = phase == start_phase ? start_offset : 0; offset < span;
-         ++offset) {
-      const std::size_t schedule_offset =
-          params.continuous_annealing ? phase * span + offset : offset;
-      const ParticipationProbability prob = [&schedule, schedule_offset](std::size_t i) {
-        return schedule.participation_probability(i, schedule_offset);
-      };
-      evolver.step(prob);
-      if (on_generation) on_generation(generation, evolver.population());
-      moga::trace_generation(params.sink, generation, evolver.evaluations(),
-                             evolver.population(), params.trace_hypervolume);
-      trace_sacga_generation(params.sink, evolver, generation, phase + 1, &schedule,
-                             schedule_offset);
-      ++generation;
-
-      if (offset + 1 == span) {
-        PhaseSnapshot snap;
-        snap.phase = phase + 1;
-        snap.partitions = params.partition_schedule[phase];
-        snap.generation = generation;
-        snap.front = evolver.global_front();
-        trace_phase_marker(params.sink, "phase_end", phase + 1,
-                           params.partition_schedule[phase], generation,
-                           snap.front.size());
-        result.phases.push_back(std::move(snap));
-      }
-      maybe_snapshot(true, gen_t);
-
-      // Graceful-stop barrier (see nsga2.cpp). The very last generation of
-      // the last phase completes the run; no interrupt needed there.
-      if (params.stop != nullptr && params.stop->requested() &&
-          !(phase + 1 == phase_count && offset + 1 == span)) {
-        if (!at_snapshot_barrier()) force_snapshot(true, gen_t);
-        result.interrupted = true;
-        break;
-      }
-    }
+  // The phase and the offset within it follow from the generation counter.
+  const std::size_t generation = evolver_.generation();
+  const std::size_t phase = (generation - gen_t_) / span_;
+  const std::size_t offset = (generation - gen_t_) % span_;
+  const std::size_t partitions = params_.partition_schedule[phase];
+  if (offset == 0) {
+    // Expand partitions: fewer, wider bins over the same axis range. A run
+    // resumed mid-phase has the phase's partitioner restored already, and
+    // re-partitioning it would desynchronize the RNG stream.
+    if (phase > 0) evolver_.set_partitioner(partitioner(partitions));
+    trace_phase_marker(params_.sink, "phase_start", phase + 1, partitions, generation,
+                       /*front_size=*/0);
   }
+  const std::size_t schedule_offset =
+      params_.continuous_annealing ? phase * span_ + offset : offset;
+  const AnnealingSchedule& schedule = *schedule_;
+  evolver_.step([&schedule, schedule_offset](std::size_t i) {
+    return schedule.participation_probability(i, schedule_offset);
+  });
+  report_generation(evolver_, phase + 1, &schedule, schedule_offset, on_generation, params_);
 
-  result.front = evolver.global_front();
-  result.population = evolver.population();
-  result.evaluations = evolver.evaluations();
-  result.generations_run = evolver.generation();
-  result.eval_stats = evolver.engine().stats();
+  if (offset + 1 == span_) {
+    PhaseSnapshot snap;
+    snap.phase = phase + 1;
+    snap.partitions = partitions;
+    snap.generation = generation + 1;
+    snap.front = evolver_.global_front();
+    trace_phase_marker(params_.sink, "phase_end", phase + 1, partitions, generation + 1,
+                       snap.front.size());
+    phases_.push_back(std::move(snap));
+  }
+}
+
+MesacgaState Mesacga::state() const {
+  return MesacgaState{evolver_.snapshot(), schedule_.has_value(), gen_t_, phases_};
+}
+
+MesacgaResult Mesacga::result() const& {
+  auto result = evolver_.result<MesacgaResult>();
+  result.phases = phases_;
+  result.phase1_generations = schedule_.has_value() ? gen_t_ : evolver_.generation();
   return result;
+}
+
+MesacgaResult Mesacga::result() && {
+  std::vector<PhaseSnapshot> phases = std::move(phases_);
+  MesacgaResult result = std::as_const(*this).result();
+  result.phases = std::move(phases);
+  return result;
+}
+
+MesacgaResult run_mesacga(const moga::Problem& problem, const MesacgaParams& params,
+                          const moga::GenerationCallback& on_generation) {
+  Mesacga evolver(problem, params);
+  return moga::run_to_end(evolver, on_generation);
 }
 
 }  // namespace anadex::sacga

@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <vector>
 
 #include "engine/evolver_common.hpp"
@@ -72,15 +72,45 @@ struct PhaseSnapshot {
   moga::Population front;      ///< global front of the population at phase end
 };
 
-struct MesacgaResult {
+struct MesacgaResult : moga::EvolverResult {
   moga::Population population;
-  moga::Population front;
   std::vector<PhaseSnapshot> phases;
-  std::size_t evaluations = 0;
-  std::size_t generations_run = 0;
   std::size_t phase1_generations = 0;
-  engine::EvalStats eval_stats;   ///< requested/distinct/cache-hit accounting
-  bool interrupted = false;       ///< stop token ended the run early (snapshotted)
+};
+
+/// MESACGA as a step object (moga/generation_driver.hpp): built fresh or
+/// from params.resume, step() runs one generation of whichever phase the
+/// run is in, expanding the partitions when a phase begins.
+class Mesacga {
+ public:
+  using State = MesacgaState;
+
+  Mesacga(const moga::Problem& problem, const MesacgaParams& params);
+
+  void step(const moga::GenerationCallback& on_generation);
+  bool finished() const {
+    return schedule_.has_value() &&
+           generation() >= gen_t_ + span_ * params_.partition_schedule.size();
+  }
+  std::size_t generation() const { return evolver_.generation(); }
+  State state() const;
+  const MesacgaParams& params() const { return params_; }
+  MesacgaResult result() const&;
+  /// The same for a run that is over: moves the phase snapshots out
+  /// instead of copying them.
+  MesacgaResult result() &&;
+
+ private:
+  /// Fixes gen_t, the per-phase span and the annealing schedule.
+  void begin_phase2(std::size_t gen_t);
+  Partitioner partitioner(std::size_t partitions) const;
+
+  MesacgaParams params_;
+  PartitionedEvolver evolver_;
+  std::vector<PhaseSnapshot> phases_;  ///< one per completed phase
+  std::size_t gen_t_ = 0;  ///< phase-I generations, once phase I is over
+  std::size_t span_ = 0;   ///< generations per phase, once phase I is over
+  std::optional<AnnealingSchedule> schedule_;  ///< engaged once phase I is over
 };
 
 /// Runs MESACGA. Deterministic for a fixed seed.

@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "moga/obs_trace.hpp"
+
 namespace anadex::sacga {
 
 void trace_sacga_generation(obs::EventSink* sink, const PartitionedEvolver& evolver,
@@ -31,6 +33,17 @@ void trace_sacga_generation(obs::EventSink* sink, const PartitionedEvolver& evol
   }
   sink->record(obs::Event{"sacga", obs::TraceLevel::Gen, false,
                           std::span<const obs::Field>(fields, n)});
+}
+
+void report_generation(const PartitionedEvolver& evolver, std::size_t phase,
+                       const AnnealingSchedule* schedule, std::size_t schedule_offset,
+                       const moga::GenerationCallback& on_generation,
+                       const engine::ObsConfig& obs) {
+  const std::size_t gen = evolver.generation() - 1;
+  if (on_generation) on_generation(gen, evolver.population());
+  moga::trace_generation(obs.sink, gen, evolver.evaluations(), evolver.population(),
+                         obs.trace_hypervolume);
+  trace_sacga_generation(obs.sink, evolver, gen, phase, schedule, schedule_offset);
 }
 
 void trace_phase_marker(obs::EventSink* sink, std::string_view name, std::size_t phase,

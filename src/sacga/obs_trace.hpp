@@ -7,6 +7,8 @@
 
 #include <cstddef>
 
+#include "engine/evolver_common.hpp"
+#include "moga/generation_driver.hpp"
 #include "obs/event_sink.hpp"
 #include "sacga/partitioned_evolver.hpp"
 #include "sacga/schedule.hpp"
@@ -23,6 +25,13 @@ void trace_sacga_generation(obs::EventSink* sink, const PartitionedEvolver& evol
                             std::size_t generation, std::size_t phase,
                             const AnnealingSchedule* schedule,
                             std::size_t schedule_offset);
+
+/// Reports the generation `evolver` just ran to `on_generation`, then as
+/// the "gen" and "sacga" records (arguments as for trace_sacga_generation).
+void report_generation(const PartitionedEvolver& evolver, std::size_t phase,
+                       const AnnealingSchedule* schedule, std::size_t schedule_offset,
+                       const moga::GenerationCallback& on_generation,
+                       const engine::ObsConfig& obs);
 
 /// Records a MESACGA "phase_start" / "phase_end" marker (gen level).
 void trace_phase_marker(obs::EventSink* sink, std::string_view name, std::size_t phase,

@@ -12,7 +12,8 @@
 namespace anadex::sacga {
 
 PartitionedEvolver::PartitionedEvolver(const moga::Problem& problem, const EvolverParams& params,
-                                       Partitioner partitioner, std::uint64_t seed)
+                                       Partitioner partitioner, std::uint64_t seed,
+                                       const EvolverSnapshot* resume)
     : problem_(problem),
       params_(params),
       engine_(problem, params, params.sink,
@@ -25,44 +26,35 @@ PartitionedEvolver::PartitionedEvolver(const moga::Problem& problem, const Evolv
                  "population size must be even and >= 4");
   ANADEX_REQUIRE(partitioner_.axis_objective() < problem.num_objectives(),
                  "partition axis must be a valid objective index");
-
+  if (resume != nullptr) {
+    ANADEX_REQUIRE(resume->population.size() == params.population_size,
+                   "snapshot population size does not match params");
+    ANADEX_REQUIRE(resume->partitions == partitioner_.count(),
+                   "snapshot partition count does not match the partitioner");
+    ANADEX_REQUIRE(resume->discarded.size() == partitioner_.count(),
+                   "snapshot discard flags do not match the partition count");
+    population_ = resume->population;
+    discarded_ = resume->discarded;
+    evaluations_ = resume->evaluations;
+    generation_ = resume->generation;
+    rng_.set_state(resume->rng);
+    // Partition membership is a pure function of the objectives, so it can
+    // be rebuilt without touching the RNG (rank_pool would shuffle).
+    info_.assign(population_.size(), MemberInfo{});
+    for (std::size_t i = 0; i < population_.size(); ++i) {
+      const std::size_t p = partitioner_.index_of(population_[i]);
+      info_[i].partition = p;
+      info_[i].local_rank = population_[i].rank;
+      info_[i].discarded_partition = discarded_[p];
+    }
+    return;
+  }
   population_.resize(params.population_size);
   for (auto& member : population_) member.genes = moga::random_genome(bounds_, rng_);
   engine_.evaluate_members(population_);
   evaluations_ += population_.size();
   // Pure-local initial ranking so tournaments are defined before step().
   rank_pool(population_, info_, [](std::size_t) { return 0.0; });
-}
-
-PartitionedEvolver::PartitionedEvolver(const moga::Problem& problem, const EvolverParams& params,
-                                       Partitioner partitioner, const EvolverSnapshot& snapshot)
-    : problem_(problem),
-      params_(params),
-      engine_(problem, params, params.sink,
-              engine::EvalWatchdog{params.eval_cancel, params.eval_deadline_s}),
-      partitioner_(std::move(partitioner)),
-      bounds_(problem.bounds()),
-      rng_(1),
-      population_(snapshot.population),
-      discarded_(snapshot.discarded),
-      evaluations_(snapshot.evaluations),
-      generation_(snapshot.generation) {
-  ANADEX_REQUIRE(snapshot.population.size() == params.population_size,
-                 "snapshot population size does not match params");
-  ANADEX_REQUIRE(snapshot.partitions == partitioner_.count(),
-                 "snapshot partition count does not match the partitioner");
-  ANADEX_REQUIRE(snapshot.discarded.size() == partitioner_.count(),
-                 "snapshot discard flags do not match the partition count");
-  rng_.set_state(snapshot.rng);
-  // Partition membership is a pure function of the objectives, so it can be
-  // rebuilt without touching the RNG (rank_pool would shuffle).
-  info_.assign(population_.size(), MemberInfo{});
-  for (std::size_t i = 0; i < population_.size(); ++i) {
-    const std::size_t p = partitioner_.index_of(population_[i]);
-    info_[i].partition = p;
-    info_[i].local_rank = population_[i].rank;
-    info_[i].discarded_partition = discarded_[p];
-  }
 }
 
 PartitionedEvolver::PartitionStats PartitionedEvolver::partition_stats() const {
@@ -155,20 +147,11 @@ void PartitionedEvolver::rank_pool(moga::Population& pool, std::vector<MemberInf
 void PartitionedEvolver::step(const ParticipationProbability& prob) {
   // Offspring from the GLOBAL mating pool (rank-based tournament over the
   // entire current population, regardless of partition).
-  const moga::Preference prefer = [](const moga::Individual& a, const moga::Individual& b) {
-    return moga::crowded_less(a, b);
-  };
-  auto offspring_genes = moga::make_offspring(population_, bounds_, params_.variation, prefer,
-                                              params_.population_size, rng_);
-
-  moga::Population pool;
+  auto offspring = moga::make_offspring(population_, bounds_, params_.variation,
+                                        moga::crowded_less, params_.population_size, rng_);
+  moga::Population pool = std::move(population_);
   pool.reserve(2 * params_.population_size);
-  for (auto& p : population_) pool.push_back(std::move(p));
-  for (auto& genes : offspring_genes) {
-    moga::Individual child;
-    child.genes = std::move(genes);
-    pool.push_back(std::move(child));
-  }
+  for (auto& genes : offspring) pool.emplace_back().genes = std::move(genes);
   // One batch per generation: all offspring evaluated together.
   engine_.evaluate_members(
       std::span<moga::Individual>(pool).subspan(params_.population_size));

@@ -54,6 +54,21 @@ struct EvolverParams : engine::EvalKnobs {
   /// deadline in seconds (0 = off) and the token the watchdog raises.
   double eval_deadline_s = 0.0;
   CancelToken* eval_cancel = nullptr;
+
+  /// The inner configuration of a LocalOnly / SACGA / MESACGA run, from
+  /// the front end's own params (an engine::EvolverCommon with a
+  /// population_size and a variation).
+  template <class FrontEndParams>
+  static EvolverParams of(const FrontEndParams& params) {
+    EvolverParams inner;
+    static_cast<engine::EvalKnobs&>(inner) = params;
+    inner.population_size = params.population_size;
+    inner.variation = params.variation;
+    inner.sink = params.sink;
+    inner.eval_deadline_s = params.eval_deadline_s;
+    inner.eval_cancel = params.eval_cancel;
+    return inner;
+  }
 };
 
 /// Probability that the i-th (1-based) locally-superior solution of a
@@ -80,16 +95,14 @@ struct EvolverSnapshot {
 /// global-rank revision.
 class PartitionedEvolver {
  public:
-  /// Creates and evaluates a random initial population.
+  /// Creates and evaluates a random initial population from `seed` or,
+  /// when `resume` is set, restores that snapshot: no evaluations and no
+  /// RNG draws, so the continuation is identical to the run the snapshot
+  /// was taken from. `partitioner` must then have the snapshot's
+  /// partition count.
   PartitionedEvolver(const moga::Problem& problem, const EvolverParams& params,
-                     Partitioner partitioner, std::uint64_t seed);
-
-  /// Restores an evolver mid-run from a snapshot. Performs no evaluations
-  /// and draws nothing from the RNG, so the continuation is identical to
-  /// the run the snapshot was taken from. `partitioner` must have the
-  /// snapshot's partition count.
-  PartitionedEvolver(const moga::Problem& problem, const EvolverParams& params,
-                     Partitioner partitioner, const EvolverSnapshot& snapshot);
+                     Partitioner partitioner, std::uint64_t seed,
+                     const EvolverSnapshot* resume = nullptr);
 
   /// Captures the full engine state for checkpointing.
   EvolverSnapshot snapshot() const;
@@ -105,11 +118,6 @@ class PartitionedEvolver {
   const moga::Population& population() const { return population_; }
   std::size_t evaluations() const { return evaluations_; }
   std::size_t generation() const { return generation_; }
-
-  /// The evolver's evaluation seam (for requested/distinct/cache-hit
-  /// accounting; see engine::EvalStats). A private engine or a lease on
-  /// the serve scheduler's shared hub, per params.engine.
-  const engine::EngineLease& engine() const { return engine_; }
 
   /// True when every non-discarded partition currently holds at least one
   /// feasible individual AND at least one partition is populated.
@@ -136,6 +144,21 @@ class PartitionedEvolver {
   /// returns the feasible non-dominated front (paper: "Global Competition
   /// is performed once on the entire population").
   moga::Population global_front() const;
+
+  /// A LocalOnly / SACGA / MESACGA `Result` with the fields they all
+  /// report: the global front, the population and the run's accounting
+  /// (requested/distinct/cache-hit counts of its engine lease, a private
+  /// engine or a lease on the serve scheduler's hub per params.engine).
+  template <class Result>
+  Result result() const {
+    Result result;
+    result.front = global_front();
+    result.population = population_;
+    result.evaluations = evaluations_;
+    result.generations_run = generation_;
+    result.eval_stats = engine_.stats();
+    return result;
+  }
 
  private:
   struct MemberInfo {

@@ -1,150 +1,85 @@
 #include "sacga/sacga.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/check.hpp"
-#include "moga/obs_trace.hpp"
 #include "sacga/obs_trace.hpp"
 
 namespace anadex::sacga {
 
-std::size_t run_phase1(PartitionedEvolver& evolver, std::size_t max_generations,
-                       const moga::GenerationCallback& on_generation,
-                       std::size_t generation_offset, std::size_t already_used,
-                       const Phase1StepHook& on_step, const engine::ObsConfig* obs,
-                       const CancelToken* stop, bool* stopped) {
-  const ParticipationProbability never = [](std::size_t) { return 0.0; };
-  std::size_t used = already_used;
-  while (used < max_generations && !evolver.all_active_partitions_feasible()) {
-    // Graceful-stop barrier. Returning here skips the infeasible-partition
-    // discard below on purpose: the discard belongs to phase-I COMPLETION,
-    // and a resumed run must re-enter this loop in the pre-discard state.
-    if (stop != nullptr && stop->requested()) {
-      if (stopped != nullptr) *stopped = true;
-      return used;
-    }
-    evolver.step(never);
-    if (on_generation) on_generation(generation_offset + used, evolver.population());
-    if (obs != nullptr) {
-      moga::trace_generation(obs->sink, generation_offset + used, evolver.evaluations(),
-                             evolver.population(), obs->trace_hypervolume);
-      trace_sacga_generation(obs->sink, evolver, generation_offset + used, /*phase=*/0,
-                             nullptr, 0);
-    }
-    ++used;
-    if (on_step) on_step(evolver, used);
+namespace {
+
+const SacgaParams& checked(const SacgaParams& params) {
+  ANADEX_REQUIRE(params.span >= 1, "SACGA needs a positive phase-II span");
+  if (params.span_is_total_budget) {
+    ANADEX_REQUIRE(params.span > params.phase1_max_generations,
+                   "total budget must exceed the phase-I cap");
   }
-  evolver.discard_infeasible_partitions();
-  return used;
+  return params;
+}
+
+}  // namespace
+
+bool phase1_step(PartitionedEvolver& evolver, std::size_t max_generations,
+                 const moga::GenerationCallback& on_generation, const engine::ObsConfig& obs) {
+  if (evolver.generation() >= max_generations || evolver.all_active_partitions_feasible()) {
+    evolver.discard_infeasible_partitions();
+    return false;
+  }
+  evolver.step([](std::size_t) { return 0.0; });
+  report_generation(evolver, /*phase=*/0, nullptr, 0, on_generation, obs);
+  return true;
+}
+
+Sacga::Sacga(const moga::Problem& problem, const SacgaParams& params)
+    : params_(checked(params)),
+      evolver_(problem, EvolverParams::of(params),
+               Partitioner(params.axis_objective, params.axis_lo, params.axis_hi, params.partitions),
+               params.seed, params.resume != nullptr ? &params.resume->evolver : nullptr) {
+  if (params.resume != nullptr && params.resume->phase1_done) {
+    begin_phase2(params.resume->phase1_generations);
+  }
+}
+
+void Sacga::begin_phase2(std::size_t gen_t) {
+  gen_t_ = gen_t;
+  const std::size_t span = params_.span_is_total_budget
+                               ? std::max<std::size_t>(params_.span - gen_t, 1)
+                               : params_.span;
+  schedule_.emplace(AnnealingSchedule::shaped(params_.shape, params_.alpha, params_.t_init,
+                                              params_.n_desired, span));
+  if constexpr (kCheckInvariants) schedule_->require_monotone_cooling();
+}
+
+void Sacga::step(const moga::GenerationCallback& on_generation) {
+  if (!schedule_) {
+    if (phase1_step(evolver_, params_.phase1_max_generations, on_generation, params_)) return;
+    begin_phase2(evolver_.generation());
+  }
+  const AnnealingSchedule& schedule = *schedule_;
+  const std::size_t offset = generation() - gen_t_;
+  evolver_.step([&schedule, offset](std::size_t i) {
+    return schedule.participation_probability(i, offset);
+  });
+  report_generation(evolver_, /*phase=*/1, &schedule, offset, on_generation, params_);
+}
+
+SacgaState Sacga::state() const {
+  return SacgaState{evolver_.snapshot(), schedule_.has_value(), gen_t_};
+}
+
+SacgaResult Sacga::result() const {
+  auto result = evolver_.result<SacgaResult>();
+  result.phase1_generations = schedule_.has_value() ? gen_t_ : evolver_.generation();
+  result.discarded_partitions = static_cast<std::size_t>(
+      std::count(evolver_.discarded().begin(), evolver_.discarded().end(), true));
+  return result;
 }
 
 SacgaResult run_sacga(const moga::Problem& problem, const SacgaParams& params,
                       const moga::GenerationCallback& on_generation) {
-  ANADEX_REQUIRE(params.partitions >= 1, "SACGA needs at least one partition");
-  ANADEX_REQUIRE(params.span >= 1, "SACGA needs a positive phase-II span");
-
-  EvolverParams evolver_params;
-  static_cast<engine::EvalKnobs&>(evolver_params) = params;
-  evolver_params.population_size = params.population_size;
-  evolver_params.variation = params.variation;
-  evolver_params.sink = params.sink;
-  evolver_params.eval_deadline_s = params.eval_deadline_s;
-  evolver_params.eval_cancel = params.eval_cancel;
-
-  Partitioner partitioner(params.axis_objective, params.axis_lo, params.axis_hi,
-                          params.partitions);
-  std::optional<PartitionedEvolver> engine;
-  bool phase1_done = false;
-  std::size_t gen_t = 0;
-  if (params.resume != nullptr) {
-    engine.emplace(problem, evolver_params, std::move(partitioner), params.resume->evolver);
-    phase1_done = params.resume->phase1_done;
-    gen_t = params.resume->phase1_generations;
-  } else {
-    engine.emplace(problem, evolver_params, std::move(partitioner), params.seed);
-  }
-  PartitionedEvolver& evolver = *engine;
-
-  const auto force_snapshot = [&params, &evolver](bool done, std::size_t gen_t_now) {
-    if (!params.on_snapshot) return;
-    SacgaState state;
-    state.evolver = evolver.snapshot();
-    state.phase1_done = done;
-    state.phase1_generations = gen_t_now;
-    params.on_snapshot(state);
-  };
-  /// True when the regular cadence would snapshot at the current generation.
-  const auto at_snapshot_barrier = [&params, &evolver] {
-    return params.snapshot_every > 0 && evolver.generation() != 0 &&
-           evolver.generation() % params.snapshot_every == 0;
-  };
-  const auto maybe_snapshot = [&](bool done, std::size_t gen_t_now) {
-    if (at_snapshot_barrier()) force_snapshot(done, gen_t_now);
-  };
-
-  SacgaResult result;
-  bool phase1_stopped = false;
-  if (!phase1_done) {
-    gen_t = run_phase1(
-        evolver, params.phase1_max_generations, on_generation, 0, evolver.generation(),
-        [&maybe_snapshot](const PartitionedEvolver&, std::size_t) { maybe_snapshot(false, 0); },
-        &params, params.stop, &phase1_stopped);
-    if (phase1_stopped) {
-      if (!at_snapshot_barrier()) force_snapshot(false, 0);
-      result.interrupted = true;
-    }
-  }
-  result.phase1_generations = gen_t;
-  for (bool d : evolver.discarded()) {
-    if (d) ++result.discarded_partitions;
-  }
-
-  if (!result.interrupted) {
-    std::size_t span = params.span;
-    if (params.span_is_total_budget) {
-      ANADEX_REQUIRE(params.span > params.phase1_max_generations,
-                     "total budget must exceed the phase-I cap");
-      span = std::max<std::size_t>(params.span - result.phase1_generations, 1);
-    }
-
-    const AnnealingSchedule schedule = AnnealingSchedule::shaped(
-        params.shape, params.alpha, params.t_init, params.n_desired, span);
-    if constexpr (kCheckInvariants) schedule.require_monotone_cooling();
-
-    // A restored evolver may already be partway through phase II.
-    const std::size_t start_offset =
-        evolver.generation() > gen_t ? evolver.generation() - gen_t : 0;
-    for (std::size_t offset = start_offset; offset < span; ++offset) {
-      const ParticipationProbability prob = [&schedule, offset](std::size_t i) {
-        return schedule.participation_probability(i, offset);
-      };
-      evolver.step(prob);
-      if (on_generation) {
-        on_generation(result.phase1_generations + offset, evolver.population());
-      }
-      moga::trace_generation(params.sink, result.phase1_generations + offset,
-                             evolver.evaluations(), evolver.population(),
-                             params.trace_hypervolume);
-      trace_sacga_generation(params.sink, evolver, result.phase1_generations + offset,
-                             /*phase=*/1, &schedule, offset);
-      maybe_snapshot(true, gen_t);
-
-      // Graceful-stop barrier (see nsga2.cpp).
-      if (params.stop != nullptr && params.stop->requested() && offset + 1 < span) {
-        if (!at_snapshot_barrier()) force_snapshot(true, gen_t);
-        result.interrupted = true;
-        break;
-      }
-    }
-  }
-
-  result.front = evolver.global_front();
-  result.population = evolver.population();
-  result.evaluations = evolver.evaluations();
-  result.generations_run = evolver.generation();
-  result.eval_stats = evolver.engine().stats();
-  return result;
+  Sacga evolver(problem, params);
+  return moga::run_to_end(evolver, on_generation);
 }
 
 }  // namespace anadex::sacga

@@ -12,7 +12,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <optional>
 
 #include "engine/evolver_common.hpp"
 #include "moga/nsga2.hpp"
@@ -53,15 +53,38 @@ struct SacgaParams : engine::EvolverCommon<SacgaState> {
   moga::VariationParams variation;
 };
 
-struct SacgaResult {
+struct SacgaResult : moga::EvolverResult {
   moga::Population population;
-  moga::Population front;
-  std::size_t evaluations = 0;
-  std::size_t generations_run = 0;   ///< gen_t + span
   std::size_t phase1_generations = 0;  ///< the paper's gen_t
   std::size_t discarded_partitions = 0;
-  engine::EvalStats eval_stats;      ///< requested/distinct/cache-hit accounting
-  bool interrupted = false;          ///< stop token ended the run early (snapshotted)
+};
+
+/// SACGA as a step object (moga/generation_driver.hpp): built fresh or
+/// from params.resume, step() runs one generation of whichever phase the
+/// run is in. `generations_run` ends at gen_t + span.
+class Sacga {
+ public:
+  using State = SacgaState;
+
+  Sacga(const moga::Problem& problem, const SacgaParams& params);
+
+  void step(const moga::GenerationCallback& on_generation);
+  bool finished() const {
+    return schedule_.has_value() && generation() >= gen_t_ + schedule_->params().span;
+  }
+  std::size_t generation() const { return evolver_.generation(); }
+  State state() const;
+  const SacgaParams& params() const { return params_; }
+  SacgaResult result() const;
+
+ private:
+  /// Fixes gen_t and builds the phase-II annealing schedule.
+  void begin_phase2(std::size_t gen_t);
+
+  SacgaParams params_;
+  PartitionedEvolver evolver_;
+  std::size_t gen_t_ = 0;  ///< phase-I generations, once phase I is over
+  std::optional<AnnealingSchedule> schedule_;  ///< engaged once phase I is over
 };
 
 /// Runs SACGA. `on_generation` (if given) sees every generation of both
@@ -69,26 +92,12 @@ struct SacgaResult {
 SacgaResult run_sacga(const moga::Problem& problem, const SacgaParams& params,
                       const moga::GenerationCallback& on_generation = {});
 
-/// Observer invoked after every phase-I generation with the evolver and the
-/// cumulative number of phase-I generations used, for checkpointing.
-using Phase1StepHook = std::function<void(const PartitionedEvolver&, std::size_t used)>;
-
-/// Phase I only, exposed for reuse by MESACGA: evolves under pure local
-/// competition until feasible coverage or the cap, then discards infeasible
-/// partitions. Returns the number of generations used (gen_t). When
-/// resuming a checkpointed run, `already_used` carries the phase-I
-/// generations already spent (the restored evolver's generation count).
-/// `obs` (optional) carries the telemetry sink: each phase-I generation
-/// records the "gen" + "sacga" trace events with phase = 0.
-/// `stop` (optional) is polled at the generation barrier: when raised, the
-/// function returns early — WITHOUT discarding infeasible partitions, so a
-/// resumed run re-enters phase I exactly where it left off — and sets
-/// `*stopped` (when given) to true.
-std::size_t run_phase1(PartitionedEvolver& evolver, std::size_t max_generations,
-                       const moga::GenerationCallback& on_generation,
-                       std::size_t generation_offset, std::size_t already_used = 0,
-                       const Phase1StepHook& on_step = {},
-                       const engine::ObsConfig* obs = nullptr,
-                       const CancelToken* stop = nullptr, bool* stopped = nullptr);
+/// One phase-I generation (pure local competition, reported as phase 0),
+/// shared by SACGA and MESACGA. Once phase I is over (every active
+/// partition feasible, or `max_generations` spent) it instead discards the
+/// still-infeasible partitions and returns false. A run stopped before
+/// that resumes in the pre-discard state.
+bool phase1_step(PartitionedEvolver& evolver, std::size_t max_generations,
+                 const moga::GenerationCallback& on_generation, const engine::ObsConfig& obs);
 
 }  // namespace anadex::sacga

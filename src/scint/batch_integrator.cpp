@@ -1,6 +1,7 @@
 #include "scint/batch_integrator.hpp"
 
 #include <array>
+#include <limits>
 
 namespace anadex::scint {
 
@@ -30,9 +31,11 @@ template void evaluate_lanes<16>(std::span<const device::Process* const, 16>,
 
 bool in_lane_domain(const IntegratorDesign& design) {
   const circuit::OpAmpDesign& a = design.opamp;
+  // An infinite M5 length makes the tail device's vdsat inf/inf = NaN, so
+  // the scalar model's tail current check fires.
   return a.m1.w > 0.0 && a.m1.l > 0.0 && a.m3.w > 0.0 && a.m3.l > 0.0 && a.m5.w > 0.0 &&
-         a.m5.l > 0.0 && a.m6.w > 0.0 && a.m6.l > 0.0 && a.m7.w > 0.0 && a.m7.l > 0.0 &&
-         a.ibias > 0.0;
+         a.m5.l > 0.0 && a.m5.l < std::numeric_limits<double>::infinity() && a.m6.w > 0.0 &&
+         a.m6.l > 0.0 && a.m7.w > 0.0 && a.m7.l > 0.0 && a.ibias > 0.0;
 }
 
 }  // namespace anadex::scint

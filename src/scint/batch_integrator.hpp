@@ -42,7 +42,8 @@ extern template void evaluate_lanes<16>(std::span<const device::Process* const, 
 
 /// The lane kernels check no preconditions, so callers screen every design
 /// with this first. It rejects non-positive (or NaN) device geometry and
-/// bias current, the inputs on which the scalar model's ANADEX_REQUIREs fire.
+/// bias current, and an infinite M5 length: the inputs on which the scalar
+/// model's ANADEX_REQUIREs fire.
 bool in_lane_domain(const IntegratorDesign& design);
 
 /// Splits `count` items into lane groups of at most circuit::kMaxLaneWidth

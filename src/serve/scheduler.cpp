@@ -101,10 +101,17 @@ bool JobScheduler::step() {
 
 bool JobScheduler::run_all() {
   for (;;) {
-    if (config_.stop != nullptr && config_.stop->requested()) break;
+    if (config_.stop != nullptr && config_.stop->requested()) {
+      shutdown();
+      break;
+    }
     if (!step()) break;
   }
   return all_terminal();
+}
+
+void JobScheduler::shutdown() {
+  for (Slot& slot : slots_) slot.job.snapshot();
 }
 
 bool JobScheduler::all_terminal() const {

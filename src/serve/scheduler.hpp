@@ -5,12 +5,12 @@
 // SLICE at a time: a slice is `slice_generations` generations of one job,
 // enforced at the generation barrier through Job::run_slice — never wall
 // clock, so for a fixed admission order the whole interleaving is a pure
-// function of the settings and is reproducible run-to-run. Preemption
-// snapshots the job into its own v2 checkpoint chain; the job's next slice
-// re-admits it with ResumeMode::Auto, which replays bit-identically — so
-// each job's front, evaluation count and final checkpoint are byte-identical
-// to a solo run of the same settings (tests/serve/scheduler_test.cpp runs
-// the {solo, 2-job, 4-job} x threads {1, 8} matrix).
+// function of the settings and is reproducible run-to-run. A preempted job
+// keeps its run live in memory and the next slice continues it, so each
+// job's front, evaluation count, checkpoints and gen-level trace are
+// byte-identical to a solo run of the same settings
+// (tests/serve/scheduler_test.cpp runs the {solo, 2-job, 4-job} x threads
+// {1, 8} matrix).
 //
 // Sharing: when SchedulerConfig.hub is set, admit() stamps each job's
 // settings with EngineHandle{hub, ordinal + 1} so every evaluation flows
@@ -21,8 +21,9 @@
 //
 // Threading: the scheduler itself is single-threaded — admit and run from
 // one thread; parallelism lives inside the engine. Service shutdown is the
-// `stop` token: run_all() returns between slices when it is raised, leaving
-// every in-flight job Snapshotted for the next daemon start to resume.
+// `stop` token: run_all() returns between slices when it is raised, after
+// shutdown() has written every preempted job's state once, so the next
+// daemon start resumes each job at the generation it reached.
 #pragma once
 
 #include <cstddef>
@@ -39,16 +40,15 @@ namespace anadex::serve {
 
 struct SchedulerConfig {
   /// Generations each job runs per slice (the fairness quantum). Must be
-  /// >= 1. Non-preemptible jobs (no checkpoint path) ignore it and run to
-  /// completion in their single slice.
+  /// >= 1. WeightedSum jobs ignore it and run whole in their first slice.
   std::size_t slice_generations = 25;
   /// Shared evaluation hub (engine::EvalEngine in hub mode), or nullptr for
   /// private per-job engines. Non-owning; must outlive the scheduler.
   engine::EvalEngine* hub = nullptr;
   /// Service shutdown token (non-owning). Checked between slices by
   /// run_all(); a raised token stops scheduling after the current slice,
-  /// which itself stops at its next generation barrier (Job wires the same
-  /// token into every slice via settings.stop).
+  /// which itself stops at its next generation barrier when the job's
+  /// settings.stop is the same token (as the serve daemon sets it).
   const CancelToken* stop = nullptr;
   /// Service-level telemetry (job_admitted / job_slice events); may be null.
   obs::EventSink* sink = nullptr;
@@ -87,9 +87,14 @@ class JobScheduler {
   bool step();
 
   /// Round-robins slices until no job is runnable or the stop token is
-  /// raised. Returns true when every admitted job reached a terminal state
-  /// (Done / Failed / Cancelled).
+  /// raised (then calls shutdown()). Returns true when every admitted job
+  /// reached a terminal state (Done / Failed / Cancelled).
   bool run_all();
+
+  /// Writes every preempted job's state to its checkpoint chain, unless the
+  /// chain already holds that generation (Job::snapshot): what a restarted
+  /// daemon resumes from.
+  void shutdown();
 
   std::size_t size() const { return slots_.size(); }
   const std::string& id(std::size_t slot) const { return slots_[slot].id; }

@@ -15,9 +15,7 @@ TEST(AsciiPlot, RendersGlyphAndLegend) {
   s.glyph = '#';
   s.x = {0.0, 1.0};
   s.y = {0.0, 1.0};
-  PlotOptions opts;
-  opts.title = "my plot";
-  opts.x_label = "xs";
+  const PlotOptions opts{.x_label = "xs", .y_label = {}, .title = "my plot"};
   const std::string out = render_scatter({s}, opts);
   EXPECT_NE(out.find('#'), std::string::npos);
   EXPECT_NE(out.find("my plot"), std::string::npos);

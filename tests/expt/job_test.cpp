@@ -98,13 +98,27 @@ TEST(Job, SlicedRunIsByteIdenticalToSoloRun) {
   EXPECT_EQ(whole.front_area, job.outcome().front_area);
 }
 
-TEST(Job, NonPreemptibleJobIgnoresBudget) {
-  // No checkpoint path -> nothing to resume from, so a budget would strand
-  // the job; run_slice runs it to completion instead.
+TEST(Job, JobWithoutCheckpointHonoursBudget) {
+  // No checkpoint path: a budget pauses the run in memory all the same,
+  // and the slices add up to the solo run's bytes.
+  const RunOutcome whole = run(small_settings());
   Job job = Job::from_settings(small_settings());
-  EXPECT_FALSE(job.preemptible());
-  EXPECT_EQ(job.run_slice(5), JobState::Done);
+  EXPECT_TRUE(job.preemptible());
+  EXPECT_EQ(job.run_slice(5), JobState::Snapshotted);
+  EXPECT_EQ(job.generations_done(), 5u);
+  EXPECT_TRUE(job.outcome().interrupted);
+  EXPECT_TRUE(job.runnable());
+  std::size_t slices = 1;
+  while (job.run_slice(5) == JobState::Snapshotted) {
+    ++slices;
+    ASSERT_LE(slices, 10u) << "job did not converge to Done";
+  }
+  EXPECT_EQ(job.state(), JobState::Done);
+  EXPECT_EQ(job.slices_run(), 5u);
   EXPECT_EQ(job.generations_done(), small_settings().generations);
+  EXPECT_TRUE(same_front(whole.front, job.outcome().front));
+  EXPECT_EQ(whole.evaluations, job.outcome().evaluations);
+  EXPECT_EQ(whole.front_area, job.outcome().front_area);
 }
 
 TEST(Job, CancelBeforeFirstSliceIsImmediate) {
@@ -145,7 +159,11 @@ TEST(Job, CancelDuringRunEndsCancelled) {
   EXPECT_LT(job.generations_done(), settings.generations);
 }
 
-TEST(Job, StopWithoutCheckpointIsNotResumable) {
+TEST(Job, StopWithoutCheckpointContinuesInMemory) {
+  // A stop without a checkpoint path saves nothing, but the run stays live
+  // in memory: once the token is lowered, the next slice finishes it with
+  // the solo run's bytes.
+  const RunOutcome whole = run(small_settings());
   CancelToken stop;
   RunSettings settings = small_settings();
   settings.stop = &stop;
@@ -154,8 +172,15 @@ TEST(Job, StopWithoutCheckpointIsNotResumable) {
   };
   Job job = Job::from_settings(settings);
   EXPECT_EQ(job.run_slice(0), JobState::Snapshotted);
-  EXPECT_FALSE(job.runnable());
-  EXPECT_THROW(job.run_slice(0), PreconditionError);
+  EXPECT_EQ(job.generations_done(), 5u);
+  EXPECT_TRUE(job.outcome().interrupted);
+  EXPECT_TRUE(job.runnable());
+  stop.reset();
+  EXPECT_EQ(job.run_slice(0), JobState::Done);
+  EXPECT_EQ(job.generations_done(), settings.generations);
+  EXPECT_TRUE(same_front(whole.front, job.outcome().front));
+  EXPECT_EQ(whole.evaluations, job.outcome().evaluations);
+  EXPECT_EQ(whole.front_area, job.outcome().front_area);
 }
 
 TEST(Job, FailedSliceStoresErrorAndRunRethrows) {

@@ -91,7 +91,6 @@ std::map<std::string, Perturb> perturbations() {
   p["trace_level"] = [](RunSettings& s) {
     s.trace_level = obs::TraceLevel::Eval;
   };
-  p["trace_append"] = [](RunSettings& s) { s.trace_append = true; };
   // SEAM — runtime wiring, never serialized anywhere.
   p["checkpoint_write_hook"] = [](RunSettings& s) {
     s.checkpoint_write_hook = [](robust::CheckpointWritePhase,

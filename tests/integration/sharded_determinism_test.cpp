@@ -24,6 +24,16 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// "s<shards>t<threads>", built by appending: GCC 12 reports a false
+/// -Wrestrict on `"s" + std::to_string(...)` at -O2.
+std::string shard_tag(std::size_t shards, std::size_t threads) {
+  std::string tag = "s";
+  tag += std::to_string(shards);
+  tag += 't';
+  tag += std::to_string(threads);
+  return tag;
+}
+
 constexpr std::size_t kGenerations = 24;
 constexpr std::size_t kMigrationInterval = 6;
 constexpr std::size_t kCheckpointEvery = 8;  // divides kGenerations: the solo
@@ -103,7 +113,7 @@ TEST(ShardedDeterminism, MatrixMatchesSoloBytes) {
           "shards=" + std::to_string(shards) + " threads=" + std::to_string(threads);
       expt::RunSettings s = island_settings(threads);
       s.shards = shards;
-      const std::string tag = "s" + std::to_string(shards) + "t" + std::to_string(threads);
+      const std::string tag = shard_tag(shards, threads);
       s.shard_dir = (scope.dir / ("spool_" + tag)).string();
       s.checkpoint_path = (scope.dir / (tag + ".cp")).string();
       ShardOptions options;  // thread mode: in-process, full settings allowed
@@ -135,7 +145,7 @@ TEST(ShardedDeterminism, KilledShardRecoversToSoloBytes) {
                                 " threads=" + std::to_string(threads);
       expt::RunSettings s = base;
       s.shards = shards;
-      const std::string tag = "s" + std::to_string(shards) + "t" + std::to_string(threads);
+      const std::string tag = shard_tag(shards, threads);
       s.shard_dir = (scope.dir / ("chaos_spool_" + tag)).string();
       s.checkpoint_path = (scope.dir / ("chaos_" + tag + ".cp")).string();
       ShardOptions options;

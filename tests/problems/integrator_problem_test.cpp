@@ -288,6 +288,42 @@ TEST(IntegratorProblem, HostileGenomeThrowsLikeReferenceLoop) {
     moga::Evaluation* const outs[] = {&out};
     EXPECT_THROW(problem.evaluate_lanes(group, outs), PreconditionError);
   }
+
+  // Probe corpus: the reference design with one gene at a time set to an
+  // extreme value, on every spec. Where the scalar model throws, evaluate()
+  // throws the same exception; where it does not, the bits agree.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double probes[] = {inf,    -inf,    1e300, -1e300, 1e-300,
+                           -1e-300, 0.0,    -0.0,  std::numeric_limits<double>::quiet_NaN()};
+  const auto base = IntegratorProblem::encode(testing_support::reference_design());
+  std::size_t throwing = 0;
+  for (const auto& spec : spec_suite()) {
+    const IntegratorProblem probed(spec);
+    for (std::size_t gene = 0; gene < base.size(); ++gene) {
+      for (const double value : probes) {
+        auto genes = base;
+        genes[gene] = value;
+        const std::string label = spec.name + ", gene " + std::to_string(gene) + " = " +
+                                  std::to_string(value);
+        moga::Evaluation want;
+        moga::Evaluation got;
+        const std::string thrown = thrown_by([&] { reference_evaluate(probed, genes, want); });
+        EXPECT_EQ(thrown_by([&] { probed.evaluate(genes, got); }), thrown) << label;
+        const std::span<const double> group[] = {genes};
+        moga::Evaluation lane;
+        moga::Evaluation* const outs[] = {&lane};
+        if (!thrown.empty()) {
+          ++throwing;
+          EXPECT_THROW(probed.evaluate_lanes(group, outs), PreconditionError) << label;
+          continue;
+        }
+        expect_same_bits(got, want, label);
+        probed.evaluate_lanes(group, outs);
+        expect_same_bits(lane, want, label + " (lanes)");
+      }
+    }
+  }
+  EXPECT_GT(throwing, 0u);
 }
 
 TEST(IntegratorProblem, GuardedHostileGenomesReportLikeReferenceLoop) {

@@ -82,7 +82,8 @@ std::vector<Corruption> corruption_table() {
        "checksum"},
       {"wrong-version",
        [](std::string text) {
-         return "anadex-checkpoint v7" + text.substr(text.find('\n'));
+         text.replace(0, text.find('\n'), "anadex-checkpoint v7");
+         return text;
        },
        "anadex-checkpoint v7"},
       {"emptied", [](std::string) { return std::string(); }, "version mismatch"},

@@ -3,11 +3,13 @@
 // uninterrupted run — same final population (genes, objectives, rank,
 // crowding, all bit-exact via the v2 serialization), same front, same
 // cumulative evaluation count.
+#include <optional>
 #include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/cancel.hpp"
 #include "moga/nsga2.hpp"
 #include "moga/serialize.hpp"
 #include "moga/spea2.hpp"
@@ -179,6 +181,68 @@ TEST(Resume, MesacgaResumesBitIdenticallyAcrossPhaseBoundaries) {
       EXPECT_EQ(exact_bytes(resumed.phases[p].front), exact_bytes(full.phases[p].front));
     }
   }
+}
+
+/// Raises the stop token after each generation g of the run in turn,
+/// resumes from the off-cycle snapshot the stop writes, and expects the
+/// uninterrupted run's bytes. Every algorithm stops right after the
+/// generation it was asked to, in either SACGA phase — also after the last
+/// phase-I generation, before the infeasible-partition discard.
+template <class State, class Params, class Run>
+void expect_resume_after_stop_at_any_barrier(const Params& base, const Run& run) {
+  const auto full = run(base, moga::GenerationCallback{});
+  ASSERT_GT(full.generations_run, 2u);
+  for (std::size_t g = 0; g + 1 < full.generations_run; ++g) {
+    CancelToken stop;
+    std::optional<State> saved;
+    Params stopping = base;
+    stopping.stop = &stop;
+    stopping.on_snapshot = [&saved](const State& state) { saved = state; };
+    const auto stopped = run(stopping, [&stop, g](std::size_t gen, const moga::Population&) {
+      if (gen == g) stop.request();
+    });
+    ASSERT_TRUE(stopped.interrupted) << "stop after generation " << g;
+    ASSERT_TRUE(saved.has_value()) << "stop after generation " << g;
+    EXPECT_EQ(stopped.generations_run, g + 1);
+
+    Params resumed_params = base;
+    resumed_params.resume = &*saved;
+    const auto resumed = run(resumed_params, moga::GenerationCallback{});
+    EXPECT_EQ(exact_bytes(resumed.population), exact_bytes(full.population))
+        << "stop after generation " << g;
+    EXPECT_EQ(resumed.evaluations, full.evaluations) << "stop after generation " << g;
+    EXPECT_EQ(resumed.generations_run, full.generations_run);
+  }
+}
+
+TEST(Resume, SacgaFamilyResumesAfterStopAtAnyBarrier) {
+  const auto problem = problems::make_sch();
+  sacga::SacgaParams sacga_params;
+  sacga_params.population_size = 16;
+  sacga_params.partitions = 4;
+  sacga_params.axis_objective = 0;
+  sacga_params.axis_hi = 4.0;
+  sacga_params.phase1_max_generations = 6;
+  sacga_params.span = 20;
+  sacga_params.span_is_total_budget = true;
+  sacga_params.seed = 3;
+  expect_resume_after_stop_at_any_barrier<sacga::SacgaState>(
+      sacga_params, [&](const sacga::SacgaParams& p, const moga::GenerationCallback& cb) {
+        return sacga::run_sacga(*problem, p, cb);
+      });
+
+  sacga::MesacgaParams mesacga_params;
+  mesacga_params.population_size = 16;
+  mesacga_params.partition_schedule = {4, 2, 1};
+  mesacga_params.axis_objective = 0;
+  mesacga_params.axis_hi = 4.0;
+  mesacga_params.phase1_max_generations = 4;
+  mesacga_params.span = 6;
+  mesacga_params.seed = 11;
+  expect_resume_after_stop_at_any_barrier<sacga::MesacgaState>(
+      mesacga_params, [&](const sacga::MesacgaParams& p, const moga::GenerationCallback& cb) {
+        return sacga::run_mesacga(*problem, p, cb);
+      });
 }
 
 TEST(Resume, IslandGaResumesBitIdenticallyAcrossMigrations) {

@@ -3,7 +3,9 @@
 // per-job fronts, evaluation counts and final checkpoints byte-identical
 // to solo runs of the same settings, at thread counts {1, 8}, for
 // {solo, 2-job, 4-job} interleavings — including a mid-slice stop drill
-// that snapshots every job and resumes them all in a fresh scheduler.
+// that snapshots every job and resumes them all in a fresh scheduler. A
+// preempted job stays live in memory, so its gen-level trace and its
+// checkpoint writes are the solo run's too.
 #include "serve/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -18,7 +20,9 @@
 #include "common/cancel.hpp"
 #include "common/check.hpp"
 #include "engine/eval_engine.hpp"
+#include "obs/event_sink.hpp"
 #include "problems/spec_suite.hpp"
+#include "robust/checkpoint.hpp"
 
 namespace anadex::serve {
 namespace {
@@ -128,10 +132,15 @@ TEST(JobScheduler, MatrixFrontsAndCheckpointsMatchSolo) {
       EXPECT_EQ(scheduler.stats().done, fleet);
       EXPECT_EQ(scheduler.stats().failed, 0u);
       for (std::size_t i = 0; i < fleet; ++i) {
-        expect_matches_baseline(
-            scheduler.job(i), baselines[i], paths[i],
-            "threads=" + std::to_string(threads) + " fleet=" +
-                std::to_string(fleet) + " job=" + std::to_string(i));
+        const std::string label = "threads=" + std::to_string(threads) +
+                                  " fleet=" + std::to_string(fleet) +
+                                  " job=" + std::to_string(i);
+        expect_matches_baseline(scheduler.job(i), baselines[i], paths[i], label);
+        // One engine lease per job for its whole life: every evaluation of
+        // every slice is accounted as dispatched or served by the cache.
+        const expt::RunOutcome& outcome = scheduler.job(i).outcome();
+        EXPECT_EQ(outcome.distinct_evaluations + outcome.cache_hits, outcome.evaluations)
+            << label;
       }
       // The shared cache actually served cross-batch hits; sharing is real,
       // not a disabled code path.
@@ -151,6 +160,7 @@ TEST(JobScheduler, MidSliceStopDrillResumesAllJobs) {
   const auto jobs = matrix_jobs();
   CancelToken stop;
   std::vector<std::string> paths;
+  std::vector<std::size_t> reached;  ///< generations each job ran before the stop
 
   {
     engine::EvalEngine hub(threads, nullptr, 512);
@@ -174,6 +184,10 @@ TEST(JobScheduler, MidSliceStopDrillResumesAllJobs) {
     }
     EXPECT_FALSE(scheduler.run_all());  // interrupted, not all terminal
     EXPECT_FALSE(scheduler.all_terminal());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      reached.push_back(scheduler.job(i).generations_done());
+      EXPECT_GT(reached.back(), 0u) << "drill job=" << i;
+    }
   }
 
   // Restart: new hub, new scheduler, same ids and checkpoint chains.
@@ -193,6 +207,108 @@ TEST(JobScheduler, MidSliceStopDrillResumesAllJobs) {
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     expect_matches_baseline(scheduler.job(i), baselines[i], paths[i],
                             "drill job=" + std::to_string(i));
+    // Shutdown wrote every preempted job's state, so none lost generations.
+    EXPECT_EQ(scheduler.job(i).outcome().resumed_from_generation, reached[i])
+        << "drill job=" << i;
+  }
+}
+
+/// A matrix job run solo with a gen-level trace, counting the checkpoint
+/// writes that land (AfterRename).
+struct TracedRun {
+  expt::RunOutcome outcome;
+  std::string trace;
+  std::string checkpoint;
+  std::size_t writes = 0;
+};
+
+expt::RunSettings traced(expt::RunSettings settings, const std::string& tag,
+                         std::size_t* writes) {
+  settings.checkpoint_path = unique_path(tag);
+  settings.trace_path = testing::TempDir() + "anadex_sched_" + tag + ".trace.jsonl";
+  settings.trace_level = obs::TraceLevel::Gen;
+  settings.checkpoint_write_hook = [writes](robust::CheckpointWritePhase phase,
+                                            const std::string&) {
+    if (phase == robust::CheckpointWritePhase::AfterRename) ++*writes;
+  };
+  return settings;
+}
+
+/// `tag` keeps the files of tests that ctest runs in parallel apart.
+std::vector<TracedRun> traced_solo_runs(const std::string& tag) {
+  std::vector<TracedRun> runs(matrix_jobs().size());
+  const auto jobs = matrix_jobs();
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const expt::RunSettings settings =
+        traced(jobs[i], tag + "_solo_" + std::to_string(i), &runs[i].writes);
+    runs[i].outcome = expt::Job::from_settings(settings).run();
+    runs[i].trace = file_bytes(settings.trace_path);
+    runs[i].checkpoint = file_bytes(settings.checkpoint_path);
+  }
+  return runs;
+}
+
+TEST(JobScheduler, SlicedJobsWriteTheSoloTraceAndCheckpoints) {
+  // Slices of 10 against checkpoint_every = 12: a preempted job stays in
+  // memory, so it writes only the solo run's cadence checkpoints and one
+  // gen-level trace with the solo run's bytes.
+  const auto solo = traced_solo_runs("traced");
+  const auto jobs = matrix_jobs();
+  engine::EvalEngine hub(1, nullptr, 512);
+  SchedulerConfig config;
+  config.slice_generations = 10;
+  config.hub = &hub;
+  JobScheduler scheduler(config);
+  std::vector<std::size_t> writes(jobs.size(), 0);
+  std::vector<expt::RunSettings> admitted;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    admitted.push_back(traced(jobs[i], "traced_served_" + std::to_string(i), &writes[i]));
+    scheduler.admit("traced" + std::to_string(i), admitted.back());
+  }
+  EXPECT_TRUE(scheduler.run_all());
+  EXPECT_GT(scheduler.stats().preemptions, 0u);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const std::string label = "job=" + std::to_string(i);
+    EXPECT_EQ(scheduler.job(i).state(), expt::JobState::Done) << label;
+    EXPECT_TRUE(same_front(scheduler.job(i).outcome().front, solo[i].outcome.front)) << label;
+    EXPECT_EQ(file_bytes(admitted[i].trace_path), solo[i].trace)
+        << label << ": gen-level traces differ";
+    EXPECT_EQ(file_bytes(admitted[i].checkpoint_path), solo[i].checkpoint) << label;
+    EXPECT_GT(solo[i].writes, 0u) << label;
+    EXPECT_EQ(writes[i], solo[i].writes) << label << ": checkpoint write counts differ";
+  }
+}
+
+TEST(JobScheduler, JobAdmittedAfterPreemptionMatchesSolo) {
+  // Admitting between slices grows the scheduler's job vector while job 0
+  // is preempted with its run live in memory; the move must not disturb
+  // that run.
+  const auto solo = traced_solo_runs("late");
+  const auto jobs = matrix_jobs();
+  engine::EvalEngine hub(8, nullptr, 512);
+  SchedulerConfig config;
+  config.slice_generations = 10;
+  config.hub = &hub;
+  JobScheduler scheduler(config);
+  std::vector<std::size_t> writes(jobs.size(), 0);
+  std::vector<expt::RunSettings> admitted;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    admitted.push_back(traced(jobs[i], "late_" + std::to_string(i), &writes[i]));
+    scheduler.admit("late" + std::to_string(i), admitted.back());
+    ASSERT_TRUE(scheduler.step());
+    EXPECT_EQ(scheduler.job(0).state(), expt::JobState::Snapshotted) << "after admit " << i;
+  }
+  EXPECT_TRUE(scheduler.run_all());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const std::string label = "job=" + std::to_string(i);
+    const expt::RunOutcome& outcome = scheduler.job(i).outcome();
+    EXPECT_EQ(scheduler.job(i).state(), expt::JobState::Done) << label;
+    EXPECT_TRUE(same_front(outcome.front, solo[i].outcome.front)) << label;
+    EXPECT_EQ(outcome.evaluations, solo[i].outcome.evaluations) << label;
+    EXPECT_EQ(outcome.distinct_evaluations + outcome.cache_hits, outcome.evaluations) << label;
+    EXPECT_EQ(file_bytes(admitted[i].checkpoint_path), solo[i].checkpoint) << label;
+    EXPECT_EQ(file_bytes(admitted[i].trace_path), solo[i].trace) << label;
+    EXPECT_EQ(writes[i], solo[i].writes) << label;
   }
 }
 
