@@ -51,8 +51,8 @@ This linter enforces the source-level side of those contracts.  Rules:
   unknown-suppression an `anadex-lint: allow(...)` comment naming a rule
                       this linter does not know — a typo there silently
                       disables nothing and hides the intent
-  digest-coverage     (--digest-audit) a RunSettings/EvalKnobs field that
-                      the settings registry classifies neither as digested
+  digest-coverage     (--digest-audit) a RunSettings field that the
+                      settings registry classifies neither as digested
                       nor as a pure execution knob, a registry row with no
                       matching field, a digest serializer that stopped
                       expanding the registry, or a declared CLI flag that
@@ -507,7 +507,6 @@ def fix_file(path: Path, pretend_prefix: str | None = None) -> int:
 
 REGISTRY_FILE = "src/expt/settings_registry.hpp"
 SETTINGS_FILE = "src/expt/runner.hpp"
-KNOBS_FILE = "src/engine/eval_knobs.hpp"
 DIGEST_FILE = "src/expt/runner.cpp"
 CLI_FILE = "apps/anadex_cli.cpp"
 REGISTRY_MACRO = "ANADEX_RUN_SETTINGS_REGISTRY"
@@ -554,13 +553,12 @@ def parse_registry(text: str) -> list:
 
 
 def parse_struct(text: str, struct_name: str):
-    """(field names, base class names) of a struct with a brace-plain body
-    (data members only — exactly what RunSettings/EvalKnobs are)."""
+    """Field names of a struct with a brace-plain body (data members only —
+    exactly what RunSettings is), or None when the struct is missing."""
     clean = strip_comments(text)
-    m = re.search(r"\bstruct\s+" + struct_name + r"\b([^{;]*)\{", clean)
+    m = re.search(r"\bstruct\s+" + struct_name + r"\b[^{;]*\{", clean)
     if not m:
-        return None, []
-    bases = re.findall(r"[\w:]+", m.group(1).replace(":", " ", 1))
+        return None
     depth = 1
     start = m.end()
     i = start
@@ -582,7 +580,7 @@ def parse_struct(text: str, struct_name: str):
         name = re.search(r"([A-Za-z_]\w*)\s*$", decl)
         if name:
             fields.append(name.group(1))
-    return fields, bases
+    return fields
 
 
 def find_line(text: str, needle: str) -> int:
@@ -660,38 +658,25 @@ def digest_audit(report: Report, audit_root: Path):
                 "field; tags are wire keys and must be unique")
 
     settings_text = settings_path.read_text(encoding="utf-8")
-    fields, bases = parse_struct(settings_text, "RunSettings")
+    fields = parse_struct(settings_text, "RunSettings")
     if fields is None:
         violate(settings_path, 1,
                 "digest audit: struct RunSettings not found")
-        fields, bases = [], []
-    field_origin = {f: settings_path for f in fields}
-    if any(b.endswith("EvalKnobs") for b in bases):
-        knobs_path = audit_root / KNOBS_FILE
-        if knobs_path.is_file():
-            knob_fields, _ = parse_struct(
-                knobs_path.read_text(encoding="utf-8"), "EvalKnobs")
-            for f in knob_fields or []:
-                field_origin.setdefault(f, knobs_path)
-        else:
-            violate(audit_root / KNOBS_FILE, 1,
-                    "digest audit: RunSettings inherits EvalKnobs but "
-                    f"{KNOBS_FILE} is missing")
+        fields = []
 
     # The bijection, both directions.
-    for field, origin in field_origin.items():
+    for field in fields:
         if field not in seen:
-            violate(origin,
-                    find_line(origin.read_text(encoding="utf-8"), field),
+            violate(settings_path, find_line(settings_text, field),
                     f"digest audit: settings field '{field}' is neither in "
                     "the digest list nor in the execution-knob list — add "
                     f"exactly one entry for it to {REGISTRY_FILE}")
     for field, kind in seen.items():
-        if field not in field_origin:
+        if field not in fields:
             violate(reg_path, find_line(reg_text, field),
                     f"digest audit: registry entry '{field}' ({kind}) names "
-                    "no RunSettings/EvalKnobs field — remove the row or fix "
-                    "the spelling")
+                    "no RunSettings field — remove the row or fix the "
+                    "spelling")
 
     # The serializer must be generated from the registry, not hand-rolled.
     digest_path = audit_root / DIGEST_FILE
@@ -725,7 +710,7 @@ def digest_audit(report: Report, audit_root: Path):
                     f"for '{field}' but {CLI_FILE} never reads \"{flag}\"")
 
     section["registered"] = len(seen)
-    section["fields"] = len(field_origin)
+    section["fields"] = len(fields)
     section["violation_count"] = len(report.violations) - before
     report.digest_audit = section
 

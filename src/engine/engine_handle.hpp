@@ -1,19 +1,19 @@
-// EngineHandle — an optional reference to a shared hub EvalEngine.
+// EngineHandle — an optional reference to the EvalEngine a run borrows.
 //
 // Every evolver-facing parameter struct (engine::EvolverCommon,
-// sacga::EvolverParams, moga::WeightedSumParams) carries one of these.
-// Default-constructed it is EMPTY and the run builds a private EvalEngine
-// from its own `threads` / `eval_cache` knobs — the classic one-engine-
-// per-run shape, bit-identical to the pre-handle code. When the scheduler
-// (anadex serve) points it at a hub engine, the run instead leases the
-// hub's worker pool and dedup cache through an engine::EngineLease, filing
-// cache entries under `context` so jobs with different problems can never
-// alias identical genes.
+// sacga::EvolverParams, moga::WeightedSumParams) carries one of these, and
+// it is the only evaluation setting they carry. expt::start_run points it
+// at the run's own engine (built once from the run's threads / eval_cache /
+// batch_eval / watchdog settings) or, under anadex serve, at the hub, whose
+// worker pool and dedup cache the run then shares, filing cache entries
+// under `context` so jobs with different problems can never alias
+// identical genes. Default-constructed it is EMPTY and the evolver's
+// engine::EngineLease evaluates on a private serial engine.
 //
-// Like `threads` and `eval_cache`, the handle is a pure EXECUTION knob:
-// it is excluded from the checkpoint config digest and can never change
-// results — a shared run's populations are byte-identical to a solo run
-// of the same settings.
+// Which engine evaluates is a pure EXECUTION choice: the handle is excluded
+// from the checkpoint config digest and can never change results — a
+// shared run's populations are byte-identical to a solo run of the same
+// settings.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +22,8 @@ namespace anadex::engine {
 
 class EvalEngine;
 
-/// Non-owning pointer to a hub EvalEngine plus the cache-context word that
-/// partitions the hub's shared EvalCache between clients. The hub must
+/// Non-owning pointer to an EvalEngine plus the cache-context word that
+/// partitions a hub's shared EvalCache between clients. The engine must
 /// outlive every run that holds a handle to it.
 struct EngineHandle {
   EvalEngine* engine = nullptr;
@@ -32,8 +32,8 @@ struct EngineHandle {
   /// clients).
   std::uint64_t context = 0;
 
-  /// True when the handle points at a hub (the run must lease it instead
-  /// of building a private engine).
+  /// True when the handle names an engine to borrow (a run's own, or a
+  /// hub) instead of leaving the lease to build a private serial one.
   bool shared() const { return engine != nullptr; }
 };
 

@@ -1,86 +1,53 @@
-// EngineLease — the evolvers' evaluation front: either a private
-// EvalEngine or a lease on a shared hub, behind one call shape.
+// EngineLease — the evolvers' evaluation front over a borrowed engine.
 //
 // Each algorithm constructs one lease per run from (problem, EngineHandle,
-// execution knobs). With an empty handle the lease OWNS an EvalEngine
-// built from the knobs — exactly the engine the algorithm used to build
-// itself, so results and traces are unchanged. With a hub handle the lease
-// borrows the hub's worker pool and dedup cache, routing every batch
-// through EvalEngine::evaluate_members_as under the handle's cache
-// context and accumulating this client's EvalStats locally, so per-run
-// requested/distinct/hit accounting stays exact even though the hub
-// aggregates every job.
-//
-// Shared-mode restrictions (validated at construction):
-//   - the per-run watchdog must be off — a deadline thread belongs to the
-//     engine that owns the workers, so serve configures it on the hub;
-//   - the per-run `threads` / `eval_cache` knobs are ignored in favour of
-//     the hub's (documented in docs/serve.md).
-// Batches are serialized by the caller exactly as with a private engine;
-// the serve scheduler runs one job slice at a time, so a hub only ever
-// sees one in-flight batch.
+// sink). The handle names the engine the run evaluates on: expt::start_run
+// hands every run its own engine (built from the run's settings) or the
+// serve hub, so the run's threads, cache, lane mode and watchdog never
+// reach the algorithm. An empty handle — a direct library call — makes the
+// lease own a serial EvalEngine reporting to `sink`. Either way every batch
+// goes through EvalEngine::evaluate_members_as under the handle's cache
+// context, and the lease accumulates this run's EvalStats, so per-run
+// requested/distinct/hit accounting stays exact even when a hub aggregates
+// every job. Batches are serialized by the caller; the serve scheduler runs
+// one job slice at a time, so a hub only ever sees one in-flight batch.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <span>
 
 #include "engine/engine_handle.hpp"
 #include "engine/eval_engine.hpp"
-#include "engine/eval_knobs.hpp"
 #include "moga/individual.hpp"
 #include "moga/problem.hpp"
 #include "obs/event_sink.hpp"
 
 namespace anadex::engine {
 
-/// One run's evaluation seam: private engine or shared-hub lease.
+/// One run's evaluation seam over a borrowed (or, unborrowed, private
+/// serial) engine.
 class EngineLease {
  public:
-  /// `handle` empty: builds a private EvalEngine(problem, threads, sink,
-  /// cache_capacity, watchdog) running in `batch_eval` mode.
-  /// `handle.shared()`: leases the hub; `threads` / `cache_capacity` /
-  /// `batch_eval` are ignored (the hub's configuration governs) and
-  /// `watchdog` must be disabled.
+  /// `handle` empty: owns an EvalEngine(problem, 1, sink). Otherwise
+  /// borrows `handle.engine`, which must outlive the lease; `sink` is then
+  /// unused (the engine reports to its own).
   EngineLease(const moga::Problem& problem, const EngineHandle& handle,
-              std::size_t threads, obs::EventSink* sink,
-              std::size_t cache_capacity, EvalWatchdog watchdog = {},
-              BatchEval batch_eval = BatchEval::Scalar);
-
-  /// Knob-bundle form: every evolver params struct and expt::RunSettings
-  /// IS-A EvalKnobs, so the lease can be built straight from it —
-  /// `EngineLease eval(problem, params, params.sink, watchdog)`. Exactly
-  /// equivalent to spelling the four knobs out above.
-  EngineLease(const moga::Problem& problem, const EvalKnobs& knobs,
-              obs::EventSink* sink, EvalWatchdog watchdog = {});
+              obs::EventSink* sink);
 
   EngineLease(const EngineLease&) = delete;
   EngineLease& operator=(const EngineLease&) = delete;
 
-  /// True when batches go through a shared hub engine.
-  bool shared() const { return !owned_.has_value(); }
-
-  const moga::Problem& problem() const { return problem_; }
-
-  /// Effective worker count (the hub's when shared).
-  std::size_t threads() const;
-
   /// Batch-evaluates `members[i].genes` into `members[i].eval`.
   void evaluate_members(std::span<moga::Individual> members) const;
 
-  /// The single-item path (CLIs, archives, estimates).
-  moga::Evaluation evaluate(std::span<const double> genes) const;
-
-  /// THIS run's requested/distinct/cache-hit accounting — the engine
-  /// totals when private, the locally-accumulated client stats when
-  /// shared.
-  const EvalStats& stats() const;
+  /// THIS run's requested/distinct/cache-hit accounting.
+  const EvalStats& stats() const { return stats_; }
 
  private:
   const moga::Problem& problem_;
-  EngineHandle handle_;
   std::optional<EvalEngine> owned_;  ///< engaged iff the handle was empty
-  mutable EvalStats client_stats_;   ///< shared mode only
+  EngineHandle handle_;              ///< points at owned_ when engaged
+  mutable EvalStats stats_;
 };
 
 }  // namespace anadex::engine

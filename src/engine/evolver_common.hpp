@@ -12,7 +12,7 @@
 #include <functional>
 
 #include "common/cancel.hpp"
-#include "engine/eval_knobs.hpp"
+#include "engine/engine_handle.hpp"
 #include "moga/individual.hpp"
 #include "obs/event_sink.hpp"
 
@@ -37,13 +37,19 @@ struct ObsConfig {
   TraceHypervolume trace_hypervolume;
 };
 
-/// Configuration common to every evolver: the RNG seed, the pure execution
-/// knobs (the engine::EvalKnobs base: threads / eval_cache / engine /
-/// batch_eval), the checkpoint/resume hooks and the telemetry sink.
-/// `State` is the algorithm's resumable-state type (e.g. moga::Nsga2State).
+/// Configuration common to every evolver: the RNG seed, the engine it
+/// borrows, the checkpoint/resume hooks and the telemetry sink. `State` is
+/// the algorithm's resumable-state type (e.g. moga::Nsga2State).
 template <class State>
-struct EvolverCommon : ObsConfig, EvalKnobs {
+struct EvolverCommon : ObsConfig {
   std::uint64_t seed = 1;
+
+  /// The engine every batch goes through (engine/engine_lease.hpp). Empty
+  /// (the default) = a private serial EvalEngine; expt::start_run points it
+  /// at the run's own engine or at the serve hub, which carry the run's
+  /// threads, cache, lane mode and watchdog. Which engine evaluates never
+  /// changes results (docs/engine.md).
+  EngineHandle engine;
 
   // Checkpoint/resume (see robust/checkpoint.hpp for the file format).
   /// Call on_snapshot every this many generations (0 disables).
@@ -54,22 +60,13 @@ struct EvolverCommon : ObsConfig, EvalKnobs {
   /// of the stored RNG state. Read once, when the evolver is built.
   const State* resume = nullptr;
 
-  // Graceful shutdown + stuck-eval watchdog (see docs/robustness.md).
+  // Graceful shutdown (see docs/robustness.md).
   /// Non-owning stop-request token (e.g. robust::shutdown_token()). Checked
   /// once per generation at the barrier (moga/generation_driver.hpp): when
   /// raised, the run snapshots (if on_snapshot is set), marks its result
   /// `interrupted` and returns. Stopping never consumes randomness, so a
   /// resumed run replays the remaining generations bit-identically.
   const CancelToken* stop = nullptr;
-
-  /// Per-batch evaluation deadline in seconds (0 = no watchdog). Requires
-  /// `eval_cancel`. A pure execution knob — excluded from config digests —
-  /// but NOTE: a deadline that actually fires penalizes whichever items were
-  /// still pending, which depends on wall-clock scheduling.
-  double eval_deadline_s = 0.0;
-  /// Token the watchdog raises and cooperative evaluators poll. Must also
-  /// be handed to the GuardedProblem wrapping the evaluator (non-owning).
-  CancelToken* eval_cancel = nullptr;
 };
 
 }  // namespace anadex::engine

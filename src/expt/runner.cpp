@@ -237,9 +237,9 @@ void validate_run_settings(const RunSettings& s) {
     ANADEX_REQUIRE(std::isfinite(*s.eval_deadline_s) && *s.eval_deadline_s > 0.0,
                    "run settings: eval deadline must be finite and > 0 seconds");
     // A per-run deadline thread belongs to the engine that owns the worker
-    // pool; on a shared hub the deadline is the hub's to enforce. Checked
-    // here so Job admission rejects the request instead of an EngineLease
-    // precondition killing the run (or the serve daemon) later.
+    // pool; on a shared hub the deadline is the hub's to enforce, so Job
+    // admission rejects the request rather than arm a watchdog that no
+    // engine of this run would ever raise.
     ANADEX_REQUIRE(!s.engine.shared(),
                    "run settings: eval_deadline_s is unsupported with a shared "
                    "engine handle (configure the deadline on the hub)");
@@ -321,10 +321,48 @@ double front_hypervolume(const moga::Population& front) {
   return hypervolume_of(to_front_samples(front));
 }
 
+/// The chaos seam: `problem` behind a deterministic fault injector when the
+/// settings ask for one. The injector's slow-spin path polls `cancel`.
+std::shared_ptr<const moga::Problem> with_chaos(std::shared_ptr<const moga::Problem> problem,
+                                                const RunSettings& s,
+                                                const CancelToken* cancel) {
+  if (!s.fault_injection.has_value()) return problem;
+  auto injector =
+      std::make_shared<robust::FaultInjectingProblem>(std::move(problem), *s.fault_injection);
+  injector->set_cancel_token(cancel);
+  return injector;
+}
+
+}  // namespace
+
+// Every evaluation flows through the fault guard, which keeps the problem
+// alive. Clean evaluators pass through untouched, so guarded runs are
+// bit-identical to unguarded ones. The watchdog token is shared between the
+// engine's deadline thread (raiser), the guard (fail-fast poller) and the
+// injector's cooperative slow-spin path.
+EvalStack::EvalStack(std::shared_ptr<const moga::Problem> problem, const RunSettings& s,
+                     obs::EventSink* sink)
+    : guarded_(with_chaos(std::move(problem), s,
+                          s.eval_deadline_s.has_value() ? &cancel_ : nullptr),
+               s.guard),
+      handle_(s.engine) {
+  engine::EvalWatchdog watchdog;
+  if (s.eval_deadline_s.has_value()) {
+    guarded_.set_cancel_token(&cancel_);
+    watchdog = engine::EvalWatchdog{&cancel_, *s.eval_deadline_s};
+  }
+  if (handle_.shared()) return;
+  owned_.emplace(guarded_, s.threads, sink, s.eval_cache, watchdog);
+  owned_->set_batch_eval(s.batch_eval);
+  handle_ = engine::EngineHandle{&*owned_, 0};
+}
+
+namespace {
+
 /// What every live run owns besides its evolver: the trace writer, the
-/// guard chain over the problem, the watchdog token, the checkpoint
-/// chain's identity, the resume source and the history. Built once per
-/// run, on the heap, and kept for the run's life.
+/// evaluation stack, the checkpoint chain's identity, the resume source and
+/// the history. Built once per run, on the heap, and kept for the run's
+/// life.
 class RunBase : public LiveRun {
  protected:
   RunBase(std::shared_ptr<const problems::IntegratorProblem> problem, RunSettings settings)
@@ -335,6 +373,7 @@ class RunBase : public LiveRun {
       trace_.emplace(settings_.trace_path, settings_.trace_level);
       sink_ = &*trace_;
     }
+    stack_.emplace(std::move(problem), settings_, sink_);
     if (sink_ != nullptr && sink_->enabled(obs::TraceLevel::Gen)) {
       // Deliberately no thread count or timestamps here: the gen-level trace
       // must be bit-identical across thread counts (docs/observability.md).
@@ -349,32 +388,14 @@ class RunBase : public LiveRun {
       sink_->record(obs::Event{"run_start", obs::TraceLevel::Gen, false, fields});
     }
     if (sink_ != nullptr && sink_->enabled(obs::TraceLevel::Eval)) {
+      // The engine that evaluates: the run's own, or the serve hub.
+      const engine::EvalEngine& engine = stack_->engine();
       const obs::Field fields[] = {
-          obs::u64("threads", settings_.threads),
+          obs::u64("threads", engine.threads()),
           obs::u64("hardware_concurrency", std::thread::hardware_concurrency()),
-          obs::str("batch_eval", engine::to_string(settings_.batch_eval)),
+          obs::str("batch_eval", engine::to_string(engine.batch_eval())),
       };
       sink_->record(obs::Event{"env", obs::TraceLevel::Eval, true, fields});
-    }
-
-    // Every evaluation flows through the fault guard, which keeps the
-    // problem alive. Clean evaluators pass through untouched, so guarded
-    // runs are bit-identical to unguarded ones. The chaos seam slots a
-    // deterministic fault injector between the two.
-    std::shared_ptr<const moga::Problem> inner = std::move(problem);
-    std::shared_ptr<robust::FaultInjectingProblem> injector;
-    if (settings_.fault_injection.has_value()) {
-      injector = std::make_shared<robust::FaultInjectingProblem>(inner,
-                                                                 *settings_.fault_injection);
-      inner = injector;
-    }
-    guarded_.emplace(inner, settings_.guard);
-    // Stuck-eval watchdog plumbing: the token is shared between the
-    // engine's deadline thread (raiser), the guard (fail-fast poller) and
-    // the injector's cooperative slow-spin path.
-    if (settings_.eval_deadline_s.has_value()) {
-      guarded_->set_cancel_token(&eval_cancel_);
-      if (injector != nullptr) injector->set_cancel_token(&eval_cancel_);
     }
 
     meta_.algo = algo_name(settings_.algo);
@@ -402,7 +423,7 @@ class RunBase : public LiveRun {
       ANADEX_REQUIRE(resume_->meta == meta_, "checkpoint '" + resumed_from_path_ +
                                                  "' was written by a different run "
                                                  "configuration");
-      guarded_->set_report(resume_->faults);
+      stack_->guarded().set_report(resume_->faults);
       for (const auto& s : resume_->history) {
         history_.push_back({s.generation, s.front_area, s.front_size});
       }
@@ -410,23 +431,19 @@ class RunBase : public LiveRun {
     run_timer_.emplace(sink_, "run", obs::TraceLevel::Eval);
   }
 
-  const moga::Problem& problem() const { return *guarded_; }
+  const moga::Problem& problem() { return stack_->guarded(); }
+  const engine::EngineHandle& engine() const { return stack_->handle(); }
 
   /// `params` with the knobs every checkpointing algorithm shares wired
-  /// in: seed, execution knobs, telemetry, stop token, watchdog, the
-  /// snapshot hook writing into the algorithm's Checkpoint slot, and the
-  /// resume source.
+  /// in: seed, the run's engine, telemetry, stop token, the snapshot hook
+  /// writing into the algorithm's Checkpoint slot, and the resume source.
   template <class Params, class State>
   Params wired(Params params, std::optional<State> robust::Checkpoint::*slot) {
     engine::EvolverCommon<State>& common = params;
-    static_cast<engine::EvalKnobs&>(common) = settings_;
     common.seed = settings_.seed;
+    common.engine = engine();
     common.sink = sink_;
     common.stop = settings_.stop;
-    if (settings_.eval_deadline_s.has_value()) {
-      common.eval_deadline_s = *settings_.eval_deadline_s;
-      common.eval_cancel = &eval_cancel_;
-    }
     if (sink_ != nullptr) common.trace_hypervolume = front_hypervolume;
     if (!settings_.checkpoint_path.empty()) {
       common.snapshot_every = settings_.checkpoint_every;
@@ -481,7 +498,7 @@ class RunBase : public LiveRun {
     outcome.interrupted = barrier != moga::Barrier::Finished;
     outcome.seconds = seconds_;
     outcome.history = history_;
-    outcome.faults = guarded_->report();
+    outcome.faults = stack_->guarded().report();
     outcome.resumed_from_generation = resumed_generation_;
     outcome.resumed_from_path = resumed_from_path_;
     outcome.front = to_front_samples(result.front);
@@ -544,7 +561,7 @@ class RunBase : public LiveRun {
   /// seam).
   void write_checkpoint(robust::Checkpoint cp) {
     cp.meta = meta_;
-    cp.faults = guarded_->report();
+    cp.faults = stack_->guarded().report();
     for (const auto& h : history_) cp.history.push_back({h.generation, h.front_area, h.front_size});
     robust::write_checkpoint_file(settings_.checkpoint_path, cp, cp_options_);
   }
@@ -552,8 +569,6 @@ class RunBase : public LiveRun {
   Clock::time_point clock_start_ = Clock::now();
   double seconds_ = 0.0;  ///< time spent building and advancing the run
   std::optional<obs::JsonlTraceWriter> trace_;
-  std::optional<robust::GuardedProblem> guarded_;
-  CancelToken eval_cancel_;
   robust::CheckpointMeta meta_;
   robust::CheckpointWriteOptions cp_options_;
   /// The restored checkpoint; the evolver reads its state when built.
@@ -561,6 +576,9 @@ class RunBase : public LiveRun {
   std::string resumed_from_path_;
   std::vector<HistoryPoint> history_;
   std::optional<obs::ScopedTimer> run_timer_;
+  /// Declared last so the run's own engine is destroyed first, recording
+  /// its `eval_engine` totals after `run_end` and before `trace_end`.
+  std::optional<EvalStack> stack_;
 };
 
 /// A checkpointing algorithm's live run: its step object under a
@@ -618,7 +636,7 @@ class WeightedSumRun final : public RunBase {
     // settings: weights * pop/2 * gens_per_weight ~= pop * generations.
     params.generations_per_weight =
         std::max<std::size_t>(2 * settings_.generations / settings_.weight_count, 1);
-    static_cast<engine::EvalKnobs&>(params) = settings_;
+    params.engine = engine();
     params.seed = settings_.seed;
     params.sink = sink_;
     if (sink_ != nullptr) params.trace_hypervolume = front_hypervolume;

@@ -16,10 +16,14 @@
 // This header owns the settings/outcome vocabulary: RunSettings (one
 // struct for every algorithm; validate_run_settings rejects nonsense
 // before a run starts) and RunOutcome (front + paper metrics + execution
-// accounting). Determinism contract: for fixed settings the front,
-// evaluation counts, checkpoints and gen-level traces are byte-identical
-// across thread counts, cache capacities, shared-engine handles and
-// slice boundaries (docs/serve.md, docs/engine.md).
+// accounting). How evaluation executes stops here: a run builds its
+// evaluation stack once (detail::EvalStack: chaos seam, fault guard,
+// watchdog, engine) and the algorithms only borrow its engine through
+// their params' EngineHandle. Determinism contract: for fixed settings the
+// front, evaluation counts, checkpoints and gen-level traces are
+// byte-identical across thread counts, cache capacities, lane modes,
+// shared-engine handles and slice boundaries (docs/serve.md,
+// docs/engine.md).
 #pragma once
 
 #include <cstdint>
@@ -29,7 +33,8 @@
 #include <vector>
 
 #include "common/cancel.hpp"
-#include "engine/eval_knobs.hpp"
+#include "engine/engine_handle.hpp"
+#include "engine/eval_engine.hpp"
 #include "moga/metrics.hpp"
 #include "moga/nsga2.hpp"
 #include "obs/event_sink.hpp"
@@ -72,10 +77,8 @@ enum class ResumeMode {
 /// that the config-digest serializer, the CLI wiring, the digest audit
 /// (`anadex-lint --digest-audit`) and the perturbation property test all
 /// consume. ADD NEW FIELDS THERE TOO, or the build's static check and the
-/// lint gate will fail. The engine::EvalKnobs base carries the four
-/// evaluation execution knobs (threads / eval_cache / engine / batch_eval,
-/// all result-invariant — see eval_knobs.hpp for their semantics here).
-struct RunSettings : engine::EvalKnobs {
+/// lint gate will fail.
+struct RunSettings {
   Algo algo = Algo::TPG;
   scint::Spec spec;
   std::size_t population = 100;
@@ -90,6 +93,22 @@ struct RunSettings : engine::EvalKnobs {
   std::uint64_t seed = 1;
   bool record_history = false;
   std::size_t history_stride = 25;             ///< generations between history samples
+
+  // How the run's engine executes (detail::EvalStack builds it). Pure
+  // execution knobs: fronts, evaluation counts, traces and checkpoints are
+  // byte-identical for every value (docs/engine.md, docs/performance.md).
+  /// Evaluation worker threads: 1 = serial on the calling thread, 0 = one
+  /// per hardware thread, N = exactly N workers.
+  std::size_t threads = 1;
+  /// Evaluation memoization: 0 = off, N = dedup duplicate genomes within
+  /// each batch and keep the last N distinct evaluations in an LRU.
+  std::size_t eval_cache = 0;
+  /// Shared-engine lease (anadex serve): empty = the run builds its own
+  /// engine; a hub handle makes it evaluate through the hub's worker pool
+  /// and cache, and `threads` / `eval_cache` / `batch_eval` are ignored.
+  engine::EngineHandle engine;
+  /// Batch-to-SIMD-lane mapping (engine::EvalEngine::set_batch_eval).
+  engine::BatchEval batch_eval = engine::BatchEval::Scalar;
 
   /// Multi-process sharding (docs/sharding.md): how many worker shards the
   /// island ring is split across. 1 (default) = ordinary in-process run.
@@ -237,11 +256,40 @@ namespace detail {
 /// shard worker so both always agree on island sizing.
 sacga::IslandParams island_params_from(const RunSettings& settings);
 
+/// One run's evaluation stack, built once from its settings by start_run
+/// and by the shard worker: the chaos injector (when fault_injection is
+/// set), the fault guard over it, the watchdog token both poll, and the
+/// engine they run on — the run's own EvalEngine from threads /
+/// eval_cache / batch_eval / eval_deadline_s, or the engine
+/// settings.engine names (anadex serve's hub). The evolver borrows the
+/// engine through handle().
+class EvalStack {
+ public:
+  /// `sink` receives the run's own engine's batch and totals records.
+  EvalStack(std::shared_ptr<const moga::Problem> problem, const RunSettings& settings,
+            obs::EventSink* sink);
+  EvalStack(const EvalStack&) = delete;  // the engine holds the guard's address
+  EvalStack& operator=(const EvalStack&) = delete;
+
+  /// The guard every evaluation goes through; its FaultReport is the run's.
+  robust::GuardedProblem& guarded() { return guarded_; }
+  /// The engine the run evaluates on: its own, or the hub.
+  const engine::EvalEngine& engine() const { return *handle_.engine; }
+  /// What the evolver's params.engine is set to.
+  const engine::EngineHandle& handle() const { return handle_; }
+
+ private:
+  CancelToken cancel_;  ///< raised by the engine's watchdog
+  robust::GuardedProblem guarded_;
+  std::optional<engine::EvalEngine> owned_;  ///< engaged unless settings.engine is set
+  engine::EngineHandle handle_;
+};
+
 /// One run in progress, built by start_run and advanced by expt::Job: the
-/// guard chain over the problem, the trace writer, the checkpoint chain's
-/// identity and history, the engine lease and the evolver under its
-/// generation driver (moga/generation_driver.hpp). It refers to nothing
-/// inside the Job, so a Job can move while its run is live.
+/// evaluation stack, the trace writer, the checkpoint chain's identity and
+/// history, and the evolver under its generation driver
+/// (moga/generation_driver.hpp). It refers to nothing inside the Job, so a
+/// Job can move while its run is live.
 class LiveRun {
  public:
   LiveRun() = default;

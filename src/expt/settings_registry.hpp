@@ -1,6 +1,5 @@
 // The RunSettings field registry — ONE declarative table classifying every
-// field of expt::RunSettings (including the engine::EvalKnobs base) by its
-// role in the resume contract:
+// field of expt::RunSettings by its role in the resume contract:
 //
 //   META   — stored as an explicit robust::CheckpointMeta field (algo,
 //            seed, population, generations) and compared field-by-field on
@@ -24,8 +23,8 @@
 //     property test (tests/expt/settings_registry_test.cpp) iterates: a
 //     registered field the test cannot perturb is a test failure;
 //   - `anadex-lint --digest-audit` (scripts/anadex_lint.py) parses this
-//     macro plus the struct bodies and fails if any RunSettings/EvalKnobs
-//     field is missing here, if a registered name has no matching field,
+//     macro plus the struct body and fails if any RunSettings field is
+//     missing here, if a registered name has no matching field,
 //     if run_config_digest stops expanding the registry, or if a declared
 //     CLI flag is not wired in apps/anadex_cli.cpp.
 //

@@ -61,8 +61,7 @@ class EvolverCore {
   EvolverCore(const Problem& problem, const Params& params)
       : params_(params),
         bounds_(problem.bounds()),
-        eval_(problem, params, params.sink,
-              engine::EvalWatchdog{params.eval_cancel, params.eval_deadline_s}) {
+        eval_(problem, params.engine, params.sink) {
     if (params.resume == nullptr) return;
     ANADEX_REQUIRE(params.resume->next_generation <= params.generations,
                    "resume state is beyond the configured generation count");

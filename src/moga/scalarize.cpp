@@ -51,8 +51,7 @@ WeightedSumResult run_weighted_sum(const Problem& problem, const WeightedSumPara
                  "population size must be even and >= 4");
 
   const auto bounds = problem.bounds();
-  const engine::EngineLease eval(problem, params, params.sink,
-                                 engine::EvalWatchdog{});
+  const engine::EngineLease eval(problem, params.engine, params.sink);
   Rng master(params.seed);
   WeightedSumResult result;
 

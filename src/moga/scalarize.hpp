@@ -19,10 +19,12 @@
 namespace anadex::moga {
 
 /// WeightedSum has no resumable state, so it embeds only the telemetry
-/// wiring (engine::ObsConfig) and the pure execution knobs
-/// (engine::EvalKnobs: threads / eval_cache / engine / batch_eval, all
-/// result-invariant) instead of the full EvolverCommon base.
-struct WeightedSumParams : engine::ObsConfig, engine::EvalKnobs {
+/// wiring (engine::ObsConfig) and the engine it borrows instead of the full
+/// EvolverCommon base.
+struct WeightedSumParams : engine::ObsConfig {
+  /// The engine batches go through (engine::EvolverCommon semantics; empty
+  /// = a private serial engine).
+  engine::EngineHandle engine;
   std::size_t weight_count = 16;       ///< number of weight vectors swept (>= 2)
   std::size_t population_size = 40;    ///< per scalar run (even, >= 4)
   std::size_t generations_per_weight = 50;

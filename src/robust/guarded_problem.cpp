@@ -58,30 +58,31 @@ bool GuardedProblem::try_evaluate(std::span<const double> genes, moga::Evaluatio
     return false;
   }
 
-  if (out.objectives.size() != inner_->num_objectives() ||
-      out.violations.size() != inner_->num_constraints()) {
-    tally.count(FaultKind::WrongArity);
-    tally.note_failure(genes, "wrong arity: got " + std::to_string(out.objectives.size()) +
-                                  " objectives / " + std::to_string(out.violations.size()) +
-                                  " violations");
+  if (const auto fault = result_fault(out)) {
+    tally.count(fault->kind);
+    tally.note_failure(genes, fault->message);
     return false;
   }
-
-  for (double v : out.objectives) {
-    if (!std::isfinite(v)) {
-      tally.count(FaultKind::NonFiniteValue);
-      tally.note_failure(genes, "non-finite objective");
-      return false;
-    }
-  }
-  for (double v : out.violations) {
-    if (!std::isfinite(v)) {
-      tally.count(FaultKind::NonFiniteValue);
-      tally.note_failure(genes, "non-finite violation");
-      return false;
-    }
-  }
   return true;
+}
+
+std::optional<GuardedProblem::ResultFault> GuardedProblem::result_fault(
+    const moga::Evaluation& out) const {
+  if (out.objectives.size() != inner_->num_objectives() ||
+      out.violations.size() != inner_->num_constraints()) {
+    return ResultFault{FaultKind::WrongArity,
+                       "wrong arity: got " + std::to_string(out.objectives.size()) +
+                           " objectives / " + std::to_string(out.violations.size()) +
+                           " violations"};
+  }
+  const auto finite = [](double v) { return std::isfinite(v); };
+  if (!std::all_of(out.objectives.begin(), out.objectives.end(), finite)) {
+    return ResultFault{FaultKind::NonFiniteValue, "non-finite objective"};
+  }
+  if (!std::all_of(out.violations.begin(), out.violations.end(), finite)) {
+    return ResultFault{FaultKind::NonFiniteValue, "non-finite violation"};
+  }
+  return std::nullopt;
 }
 
 void GuardedProblem::evaluate(std::span<const double> genes, moga::Evaluation& out) const {
@@ -160,20 +161,6 @@ void GuardedProblem::evaluate(std::span<const double> genes, moga::Evaluation& o
   report_.merge(tally);
 }
 
-bool GuardedProblem::clean_result(const moga::Evaluation& out) const {
-  if (out.objectives.size() != inner_->num_objectives() ||
-      out.violations.size() != inner_->num_constraints()) {
-    return false;
-  }
-  for (double v : out.objectives) {
-    if (!std::isfinite(v)) return false;
-  }
-  for (double v : out.violations) {
-    if (!std::isfinite(v)) return false;
-  }
-  return true;
-}
-
 void GuardedProblem::evaluate_lanes(std::span<const std::span<const double>> genes,
                                     std::span<moga::Evaluation* const> outs) const {
   ANADEX_REQUIRE(genes.size() == outs.size(),
@@ -204,7 +191,7 @@ void GuardedProblem::evaluate_lanes(std::span<const std::span<const double>> gen
   // fault and the retry/penalty/report sequence matches scalar mode
   // bit-for-bit.
   for (std::size_t i = 0; i < genes.size(); ++i) {
-    if (!lanes_ok || !clean_result(*outs[i])) evaluate(genes[i], *outs[i]);
+    if (!lanes_ok || result_fault(*outs[i])) evaluate(genes[i], *outs[i]);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -107,9 +108,14 @@ class GuardedProblem final : public moga::Problem, public engine::LaneEvaluator 
   bool try_evaluate(std::span<const double> genes, moga::Evaluation& out,
                     FaultReport& tally) const;
 
-  /// The validity predicate of try_evaluate without the fault accounting:
-  /// right arity and every value finite.
-  bool clean_result(const moga::Evaluation& out) const;
+  /// What is wrong with a result, in FaultReport terms.
+  struct ResultFault {
+    FaultKind kind;
+    std::string message;
+  };
+  /// The one validity rule, for scalar results and lane outputs alike:
+  /// right arity, every objective and violation finite. Empty when clean.
+  std::optional<ResultFault> result_fault(const moga::Evaluation& out) const;
 
   std::shared_ptr<const moga::Problem> inner_;
   /// Inner problem's lane interface when it has one (same object as

@@ -16,8 +16,7 @@ PartitionedEvolver::PartitionedEvolver(const moga::Problem& problem, const Evolv
                                        const EvolverSnapshot* resume)
     : problem_(problem),
       params_(params),
-      engine_(problem, params, params.sink,
-              engine::EvalWatchdog{params.eval_cancel, params.eval_deadline_s}),
+      engine_(problem, params.engine, params.sink),
       partitioner_(std::move(partitioner)),
       bounds_(problem.bounds()),
       rng_(seed),

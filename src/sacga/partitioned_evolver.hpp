@@ -29,8 +29,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "engine/engine_handle.hpp"
 #include "engine/engine_lease.hpp"
-#include "engine/eval_knobs.hpp"
 #include "moga/individual.hpp"
 #include "moga/nds.hpp"
 #include "moga/operators.hpp"
@@ -39,35 +39,27 @@
 
 namespace anadex::sacga {
 
-/// Engine configuration common to the SACGA family.
-/// Inner-evolver configuration. The engine::EvalKnobs base carries the
-/// pure execution knobs (threads / eval_cache / engine / batch_eval,
-/// engine::EvolverCommon semantics, all result-invariant), so the SACGA
-/// front-ends copy them down from their own params in one assignment.
-struct EvolverParams : engine::EvalKnobs {
+/// Inner-evolver configuration, copied from a LocalOnly / SACGA / MESACGA
+/// front end's params.
+struct EvolverParams {
   std::size_t population_size = 100;  ///< must be even and >= 4
   moga::VariationParams variation;
-  /// Non-owning telemetry sink forwarded to the EvalEngine (batch timing at
-  /// eval level); nullptr disables. Tracing never alters results.
+  /// The engine batches go through (engine::EvolverCommon semantics; empty
+  /// = a private serial engine).
+  engine::EngineHandle engine;
+  /// Non-owning telemetry sink for the private engine's batch timing (eval
+  /// level); nullptr disables. Tracing never alters results.
   obs::EventSink* sink = nullptr;
-  /// Stuck-eval watchdog (engine::EvolverCommon semantics): per-batch
-  /// deadline in seconds (0 = off) and the token the watchdog raises.
-  double eval_deadline_s = 0.0;
-  CancelToken* eval_cancel = nullptr;
 
   /// The inner configuration of a LocalOnly / SACGA / MESACGA run, from
   /// the front end's own params (an engine::EvolverCommon with a
   /// population_size and a variation).
   template <class FrontEndParams>
   static EvolverParams of(const FrontEndParams& params) {
-    EvolverParams inner;
-    static_cast<engine::EvalKnobs&>(inner) = params;
-    inner.population_size = params.population_size;
-    inner.variation = params.variation;
-    inner.sink = params.sink;
-    inner.eval_deadline_s = params.eval_deadline_s;
-    inner.eval_cancel = params.eval_cancel;
-    return inner;
+    return EvolverParams{.population_size = params.population_size,
+                         .variation = params.variation,
+                         .engine = params.engine,
+                         .sink = params.sink};
   }
 };
 

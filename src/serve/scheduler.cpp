@@ -32,8 +32,8 @@ std::size_t JobScheduler::admit(std::string id, expt::RunSettings settings) {
     // at 1 so two jobs can never share cache entries.
     settings.engine.engine = config_.hub;
     settings.engine.context = slots_.size() + 1;
-    // The shared pool decides parallelism; the per-run thread knob only
-    // matters for private engines (and EngineLease ignores it when shared).
+    // The shared pool decides parallelism; the run's own threads, cache
+    // and lane mode only matter when it builds its own engine.
   }
   // Throws PreconditionError on invalid settings; nothing is enqueued.
   expt::Job job = expt::Job::from_settings(std::move(settings));

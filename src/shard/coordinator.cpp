@@ -448,8 +448,9 @@ expt::RunOutcome run_sharded(const problems::IntegratorProblem& problem,
   }
   merged.migrations = migrations;
 
-  // Epilogue — the same math as expt::detail::run_impl over the reassembled
-  // global population, so every derived metric matches the solo run.
+  // Epilogue — the math of a solo run's outcome (RunBase::outcome_at in
+  // expt/runner.cpp) over the reassembled global population, so every
+  // derived metric matches the solo run.
   moga::Population combined;
   for (const auto& island : merged.islands) {
     combined.insert(combined.end(), island.begin(), island.end());

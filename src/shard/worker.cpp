@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/cancel.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "engine/engine_lease.hpp"
@@ -15,8 +14,6 @@
 #include "moga/selection.hpp"
 #include "robust/chaos.hpp"
 #include "robust/checkpoint.hpp"
-#include "robust/fault_injection.hpp"
-#include "robust/guarded_problem.hpp"
 #include "sacga/island.hpp"
 #include "shard/migrants.hpp"
 
@@ -53,29 +50,13 @@ void run_shard_worker(const moga::Problem& problem, const WorkerContext& ctx) {
     return static_cast<std::size_t>(it - owned.begin());
   };
 
-  // Guard chain — identical to expt::detail::run_impl's, so retry behaviour
-  // and fault accounting are byte-compatible with the solo run.
-  std::shared_ptr<const moga::Problem> inner(std::shared_ptr<void>(), &problem);
-  std::shared_ptr<robust::FaultInjectingProblem> injector;
-  if (s.fault_injection.has_value()) {
-    injector =
-        std::make_shared<robust::FaultInjectingProblem>(inner, *s.fault_injection);
-    inner = injector;
-  }
-  robust::GuardedProblem guarded(inner, s.guard);
-  CancelToken eval_cancel_token;
-  const double eval_deadline_s = s.eval_deadline_s.value_or(0.0);
-  if (s.eval_deadline_s.has_value()) {
-    guarded.set_cancel_token(&eval_cancel_token);
-    if (injector != nullptr) injector->set_cancel_token(&eval_cancel_token);
-  }
-
+  // The solo run's evaluation stack, so retry behaviour and fault
+  // accounting are byte-compatible with it.
+  expt::detail::EvalStack stack(
+      std::shared_ptr<const moga::Problem>(std::shared_ptr<void>(), &problem), s, nullptr);
+  robust::GuardedProblem& guarded = stack.guarded();
   const auto bounds = guarded.bounds();
-  const engine::EngineLease eval(
-      guarded, s, nullptr,
-      engine::EvalWatchdog{
-          s.eval_deadline_s.has_value() ? &eval_cancel_token : nullptr,
-          eval_deadline_s});
+  const engine::EngineLease eval(guarded, stack.handle(), nullptr);
 
   robust::CheckpointMeta meta;
   meta.algo = expt::algo_name(s.algo);

@@ -1,9 +1,10 @@
 // The determinism matrix (docs/engine.md): every evolver must produce a
-// bit-identical final population, front and evaluation count for every
-// evaluation thread count AND every eval-cache capacity, and a checkpoint
-// taken under one thread/cache setting must resume bit-identically under
-// another — `threads` and `eval_cache` are execution knobs, never part of
-// the result.
+// bit-identical final population, front and evaluation count on every
+// engine it borrows — any thread count AND any eval-cache capacity — and a
+// checkpoint taken on one engine must resume bit-identically on another:
+// the engine's `threads` and `eval_cache` are execution knobs, never part
+// of the result. Each cell builds its own EvalEngine and hands the evolver
+// a handle to it, as expt::start_run does.
 #include <cstddef>
 #include <sstream>
 #include <type_traits>
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/eval_engine.hpp"
 #include "moga/nsga2.hpp"
 #include "moga/scalarize.hpp"
 #include "moga/serialize.hpp"
@@ -26,6 +28,10 @@ namespace {
 
 const std::size_t kThreadMatrix[] = {2, 8};
 
+/// What an evolver's params.engine holds to borrow `engine`: the private
+/// cache context 0, as expt::start_run hands out a run's own engine.
+EngineHandle borrow(EvalEngine& engine) { return EngineHandle{&engine, 0}; }
+
 std::string exact_bytes(const moga::Population& population) {
   std::ostringstream os;
   moga::save_population_exact(os, population);
@@ -40,9 +46,10 @@ TEST(DeterminismMatrix, Nsga2IsThreadCountInvariant) {
   params.population_size = 16;
   params.generations = 10;
   params.seed = 5;
-  const auto serial = moga::run_nsga2(*problem, params);  // threads = 1
+  const auto serial = moga::run_nsga2(*problem, params);  // private serial engine
   for (const std::size_t threads : kThreadMatrix) {
-    params.threads = threads;
+    EvalEngine engine(*problem, threads);
+    params.engine = borrow(engine);
     const auto parallel = moga::run_nsga2(*problem, params);
     EXPECT_EQ(exact_bytes(parallel.population), exact_bytes(serial.population))
         << "threads = " << threads;
@@ -60,7 +67,8 @@ TEST(DeterminismMatrix, Spea2IsThreadCountInvariant) {
   params.seed = 5;
   const auto serial = moga::run_spea2(*problem, params);
   for (const std::size_t threads : kThreadMatrix) {
-    params.threads = threads;
+    EvalEngine engine(*problem, threads);
+    params.engine = borrow(engine);
     const auto parallel = moga::run_spea2(*problem, params);
     EXPECT_EQ(exact_bytes(parallel.archive), exact_bytes(serial.archive))
         << "threads = " << threads;
@@ -81,7 +89,8 @@ TEST(DeterminismMatrix, LocalOnlyIsThreadCountInvariant) {
   params.seed = 7;
   const auto serial = sacga::run_local_only(*problem, params);
   for (const std::size_t threads : kThreadMatrix) {
-    params.threads = threads;
+    EvalEngine engine(*problem, threads);
+    params.engine = borrow(engine);
     const auto parallel = sacga::run_local_only(*problem, params);
     EXPECT_EQ(exact_bytes(parallel.population), exact_bytes(serial.population))
         << "threads = " << threads;
@@ -104,7 +113,8 @@ TEST(DeterminismMatrix, SacgaIsThreadCountInvariant) {
   params.seed = 3;
   const auto serial = sacga::run_sacga(*problem, params);
   for (const std::size_t threads : kThreadMatrix) {
-    params.threads = threads;
+    EvalEngine engine(*problem, threads);
+    params.engine = borrow(engine);
     const auto parallel = sacga::run_sacga(*problem, params);
     EXPECT_EQ(exact_bytes(parallel.population), exact_bytes(serial.population))
         << "threads = " << threads;
@@ -126,7 +136,8 @@ TEST(DeterminismMatrix, MesacgaIsThreadCountInvariant) {
   params.seed = 11;
   const auto serial = sacga::run_mesacga(*problem, params);
   for (const std::size_t threads : kThreadMatrix) {
-    params.threads = threads;
+    EvalEngine engine(*problem, threads);
+    params.engine = borrow(engine);
     const auto parallel = sacga::run_mesacga(*problem, params);
     EXPECT_EQ(exact_bytes(parallel.population), exact_bytes(serial.population))
         << "threads = " << threads;
@@ -146,7 +157,8 @@ TEST(DeterminismMatrix, IslandGaIsThreadCountInvariant) {
   params.seed = 13;
   const auto serial = sacga::run_island_ga(*problem, params);
   for (const std::size_t threads : kThreadMatrix) {
-    params.threads = threads;
+    EvalEngine engine(*problem, threads);
+    params.engine = borrow(engine);
     const auto parallel = sacga::run_island_ga(*problem, params);
     EXPECT_EQ(exact_bytes(parallel.population), exact_bytes(serial.population))
         << "threads = " << threads;
@@ -165,7 +177,8 @@ TEST(DeterminismMatrix, WeightedSumIsThreadCountInvariant) {
   params.seed = 17;
   const auto serial = moga::run_weighted_sum(*problem, params);
   for (const std::size_t threads : kThreadMatrix) {
-    params.threads = threads;
+    EvalEngine engine(*problem, threads);
+    params.engine = borrow(engine);
     const auto parallel = moga::run_weighted_sum(*problem, params);
     EXPECT_EQ(exact_bytes(parallel.front), exact_bytes(serial.front))
         << "threads = " << threads;
@@ -176,18 +189,18 @@ TEST(DeterminismMatrix, WeightedSumIsThreadCountInvariant) {
 
 // ---- eval cache on/off x threads {1, 2, 8} produce identical results ------
 
-/// Runs the evolver once without the cache (serial), then with a 64-entry
-/// dedup cache under 1, 2 and 8 evaluation threads. Every cell of the
+/// Runs the evolver once without the cache (serial), then on engines with a
+/// 64-entry dedup cache and 1, 2 and 8 evaluation threads. Every cell of the
 /// matrix must produce the same bytes and the same requested-evaluation
 /// count; only the distinct-evaluation accounting may differ.
 template <class Params, class Run, class Bytes>
 void expect_cache_invariant(const moga::Problem& problem, Params base, Run run,
                             Bytes bytes) {
-  const auto baseline = run(problem, base);  // eval_cache = 0, threads = 1
+  const auto baseline = run(problem, base);  // private serial engine, no cache
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    EvalEngine engine(problem, threads, nullptr, 64);
     Params cached = base;
-    cached.threads = threads;
-    cached.eval_cache = 64;
+    cached.engine = borrow(engine);
     const auto with_cache = run(problem, cached);
     EXPECT_EQ(bytes(with_cache), bytes(baseline)) << "threads = " << threads;
     EXPECT_EQ(with_cache.evaluations, baseline.evaluations);
@@ -324,24 +337,25 @@ TEST(DeterminismMatrix, WeightedSumIsCacheInvariant) {
                          });
 }
 
-// ---- a checkpoint under threads = 8 resumes bit-identically serially ------
+// ---- a checkpoint on an 8-thread engine resumes bit-identically serially --
 
-/// Runs the evolver serially end-to-end, then snapshots a run under 8
-/// evaluation threads and resumes the FIRST (earliest) snapshot with one
-/// thread. Both paths must land on the same bytes.
+/// Runs the evolver serially end-to-end, then snapshots a run on an
+/// 8-thread engine and resumes the FIRST (earliest) snapshot serially.
+/// Both paths must land on the same bytes.
 template <class Params, class Run>
 void expect_cross_thread_resume(const moga::Problem& problem, Params base, Run run) {
-  const auto full = run(problem, base);  // threads = 1 throughout
+  const auto full = run(problem, base);  // private serial engine throughout
 
+  EvalEngine engine(problem, 8);
   Params snapshotting = base;
-  snapshotting.threads = 8;
+  snapshotting.engine = borrow(engine);
   snapshotting.snapshot_every = 3;
   std::vector<std::remove_cvref_t<decltype(*base.resume)>> states;
   snapshotting.on_snapshot = [&](const auto& s) { states.push_back(s); };
   (void)run(problem, snapshotting);
   ASSERT_FALSE(states.empty());
 
-  Params resumed_params = base;  // back to threads = 1
+  Params resumed_params = base;  // back to a private serial engine
   resumed_params.resume = &states.front();
   const auto resumed = run(problem, resumed_params);
   EXPECT_EQ(exact_bytes(resumed.front), exact_bytes(full.front));
@@ -393,23 +407,23 @@ TEST(DeterminismMatrix, SacgaCheckpointCrossesThreadCounts) {
 
 // ---- a checkpoint under a cache resumes bit-identically without one -------
 
-/// Snapshots a cached parallel run, then resumes its earliest snapshot with
-/// the cache off and one thread. Checkpoint bytes carry no cache state, so
-/// both paths must land on the same result.
+/// Snapshots a run on a cached 2-thread engine, then resumes its earliest
+/// snapshot serially with the cache off. Checkpoint bytes carry no cache
+/// state, so both paths must land on the same result.
 template <class Params, class Run>
 void expect_cross_cache_resume(const moga::Problem& problem, Params base, Run run) {
-  const auto full = run(problem, base);  // eval_cache = 0, threads = 1
+  const auto full = run(problem, base);  // private serial engine, no cache
 
+  EvalEngine engine(problem, 2, nullptr, 64);
   Params snapshotting = base;
-  snapshotting.threads = 2;
-  snapshotting.eval_cache = 64;
+  snapshotting.engine = borrow(engine);
   snapshotting.snapshot_every = 3;
   std::vector<std::remove_cvref_t<decltype(*base.resume)>> states;
   snapshotting.on_snapshot = [&](const auto& s) { states.push_back(s); };
   (void)run(problem, snapshotting);
   ASSERT_FALSE(states.empty());
 
-  Params resumed_params = base;  // cache off again
+  Params resumed_params = base;  // private serial engine, cache off again
   resumed_params.resume = &states.front();
   const auto resumed = run(problem, resumed_params);
   EXPECT_EQ(exact_bytes(resumed.front), exact_bytes(full.front));

@@ -1,6 +1,7 @@
 // Evaluation-watchdog behavior: a stuck batch is cancelled at the deadline
 // and converted into Timeout penalties by the guard; a generous deadline
-// never fires and never perturbs results.
+// never fires and never perturbs results; a run's eval_deadline_s arms the
+// watchdog of the engine the run evaluates on.
 #include <limits>
 #include <memory>
 #include <vector>
@@ -10,7 +11,9 @@
 #include "common/cancel.hpp"
 #include "common/check.hpp"
 #include "engine/eval_engine.hpp"
+#include "expt/runner.hpp"
 #include "problems/analytic.hpp"
+#include "problems/spec_suite.hpp"
 #include "robust/fault_injection.hpp"
 #include "robust/guarded_problem.hpp"
 
@@ -92,6 +95,32 @@ TEST(Watchdog, RejectsNonFiniteDeadlines) {
       EvalEngine(*problem, 1, nullptr, 0,
                  EvalWatchdog{&token, std::numeric_limits<double>::quiet_NaN()}),
       PreconditionError);
+}
+
+TEST(Watchdog, RunDeadlinePenalizesEveryStuckEvaluationAsATimeout) {
+  // From settings to the run's engine: eval_deadline_s arms the watchdog of
+  // the engine the run builds, whose token the guard and the injector poll.
+  // Every evaluation spins several times longer than the deadline, so each
+  // one ends as a timeout penalty. The spin is short enough that a run
+  // whose watchdog is not armed ends within seconds and fails here instead
+  // of hanging.
+  expt::RunSettings s;
+  s.algo = expt::Algo::TPG;
+  s.spec = problems::spec_suite().front();
+  s.population = 8;
+  s.generations = 3;
+  s.threads = 2;
+  s.eval_deadline_s = 0.01;
+  robust::FaultInjectionConfig chaos;
+  chaos.slow_rate = 1.0;
+  chaos.slow_spin_iterations = 50'000'000ULL;
+  s.fault_injection = chaos;
+
+  const expt::RunOutcome outcome = expt::run(s);
+  EXPECT_EQ(outcome.evaluations, 32u);
+  EXPECT_EQ(outcome.faults.timeouts, outcome.evaluations);
+  EXPECT_EQ(outcome.faults.penalized, outcome.evaluations);
+  EXPECT_EQ(outcome.faults.total_faults(), outcome.faults.timeouts);
 }
 
 }  // namespace

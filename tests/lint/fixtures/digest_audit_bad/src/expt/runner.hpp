@@ -1,13 +1,13 @@
 #pragma once
 // Fixture: mirrored RunSettings carrying novel_field, which the mirrored
 // registry does NOT classify — the seeded digest-coverage violation.
+#include <cstddef>
 #include <cstdint>
-
-#include "engine/eval_knobs.hpp"
 
 namespace anadex::expt {
 
-struct RunSettings : engine::EvalKnobs {
+struct RunSettings {
+  std::size_t threads = 1;
   int spec = 0;
   std::uint64_t seed = 1;
   std::size_t novel_field = 0;

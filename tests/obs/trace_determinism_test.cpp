@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "engine/eval_engine.hpp"
 #include "expt/runner.hpp"
 #include "problems/spec_suite.hpp"
 
@@ -132,6 +133,51 @@ TEST(TraceContent, MesacgaGenTraceCarriesPaperTelemetry) {
   EXPECT_TRUE(saw_t_a);
   EXPECT_TRUE(saw_hv);
   EXPECT_FALSE(saw_wall_clock);
+}
+
+/// The value of `"key":` in one JSONL record, as written (no unquoting).
+std::string field(const std::string& line, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = line.find(tag);
+  if (at == std::string::npos) return {};
+  const std::size_t start = at + tag.size();
+  return line.substr(start, line.find_first_of(",}", start) - start);
+}
+
+TEST(TraceContent, EvalTraceNamesTheEngineTheRunEvaluatesOn) {
+  RunSettings s = small_mesacga();
+  s.threads = 0;  // the engine resolves this to one worker per hardware thread
+  s.trace_path = testing::TempDir() + "anadex_trace_eval_engine.jsonl";
+  s.trace_level = obs::TraceLevel::Eval;
+  const RunOutcome outcome = run(s);
+  const std::string workers = std::to_string(engine::EvalEngine::resolve_threads(0));
+
+  std::ifstream in(s.trace_path);
+  std::string line;
+  std::vector<std::string> order;  // run_end / eval_engine / trace_end, as met
+  std::size_t envs = 0, batches = 0;
+  while (std::getline(in, line)) {
+    const std::string ev = field(line, "ev");
+    if (ev == "\"env\"") {
+      ++envs;
+      EXPECT_EQ(field(line, "threads"), workers);
+      EXPECT_EQ(field(line, "batch_eval"), "\"scalar\"");
+    } else if (ev == "\"batch\"") {
+      ++batches;
+      EXPECT_EQ(field(line, "workers"), workers) << line;
+    } else if (ev == "\"eval_engine\"") {
+      EXPECT_EQ(field(line, "requested"), std::to_string(outcome.evaluations));
+      EXPECT_EQ(field(line, "workers"), workers);
+      order.push_back("eval_engine");
+    } else if (ev == "\"run_end\"" || ev == "\"trace_end\"") {
+      order.push_back(ev.substr(1, ev.size() - 2));
+    }
+  }
+  EXPECT_EQ(envs, 1u);
+  EXPECT_GT(batches, 0u);
+  // The run, not the evolver, owns its engine: the engine's totals close
+  // the run after run_end and before the writer's trailer.
+  EXPECT_EQ(order, (std::vector<std::string>{"run_end", "eval_engine", "trace_end"}));
 }
 
 TEST(RunSettingsValidation, RejectsTracePathWithMissingParentDirectory) {
