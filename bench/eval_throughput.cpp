@@ -19,9 +19,10 @@
 // per-genome evaluate() runs one genome's corners as lanes. Both lane paths
 // must match the oracle bit for bit on every build; the >= 4x
 // single-thread speedup gate (cross-genome lanes over the scalar model)
-// applies only under --simd-gate, which CI's native-ISA bench job passes (a
-// generic -march=x86-64 build has no business being held to an AVX-class
-// ratio).
+// applies only under --simd-gate, which CI's bench job passes on the
+// default build. That build runs the x86-64-v4 (AVX-512) lane kernels on a
+// CPU that has them and the baseline ones elsewhere; the JSON records which
+// as "lane_isa" (docs/performance.md, "Kernel variants").
 //
 // Flags / environment:
 //   --duplicate-rate R   run the cache section at the single rate R (0..1)
@@ -53,6 +54,7 @@
 #include <vector>
 
 #include "../tests/support/reference_evaluate.hpp"
+#include "circuit/batch_opamp.hpp"
 #include "common/cancel.hpp"
 #include "common/rng.hpp"
 #include "engine/eval_engine.hpp"
@@ -241,9 +243,10 @@ int main(int argc, char** argv) {
   const std::uint64_t simd_lane_groups = simd_serial.lane_groups();
   const bool simd_ok = simd_identical && simd_lane_groups > 0 &&
                        (!simd_gate || simd_speedup >= 4.0);
-  std::printf("\nscalar model vs SIMD (1 thread, lane width %zu): %.0f -> %.0f evals/sec "
-              "(%.2fx, gate >= 4x %s, lane groups %llu, bit-identical %s) -> %s\n",
-              lane_width, scalar_eps, simd_eps, simd_speedup,
+  std::printf("\nscalar model vs SIMD (1 thread, lane width %zu, %s kernels): %.0f -> %.0f "
+              "evals/sec (%.2fx, gate >= 4x %s, lane groups %llu, bit-identical %s) -> %s\n",
+              lane_width, std::string(circuit::to_string(circuit::lane_isa())).c_str(),
+              scalar_eps, simd_eps, simd_speedup,
               simd_gate ? "ENFORCED" : "advisory",
               static_cast<unsigned long long>(simd_lane_groups),
               simd_identical ? "yes" : "NO", simd_ok ? "ok" : "FAIL");
@@ -431,6 +434,7 @@ int main(int argc, char** argv) {
        << "  \"batch_size\": " << batch_size << ",\n"
        << "  \"repeats\": " << repeats << ",\n"
        << "  \"hardware_threads\": " << std::thread::hardware_concurrency() << ",\n"
+       << "  \"lane_isa\": \"" << circuit::to_string(circuit::lane_isa()) << "\",\n"
        << "  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];

@@ -4,16 +4,24 @@
 // documented acceptance check — the O(n log n) sweep kernel must beat the
 // legacy pairwise sort by >= 5x at n = 512 (docs/performance.md).
 //
+// The lane-kernel rows time circuit::analyze_lanes at W = 8 and 16 on every
+// instruction-set level compiled into the binary that this CPU can run
+// (docs/performance.md, "Kernel variants"); the JSON names the level the
+// dispatcher picked as "lane_isa".
+//
 // ANADEX_BENCH_QUICK=1 shrinks the iteration budgets so the CI smoke run
 // stays fast; the speedup check still applies (the ratio is budget-free).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "../tests/support/reference_design.hpp"
+#include "circuit/batch_opamp.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "engine/eval_cache.hpp"
@@ -147,6 +155,55 @@ int main() {
            }));
   }
 
+  // --- lane kernels, per instruction-set level -----------------------------
+  {
+    // Random designs inside the problem's bounds on the five corners, lane
+    // k on corner k mod 5: W = 8 is one design's corner check, W = 16 the
+    // width of a Monte Carlo or of a cross-genome group.
+    const problems::IntegratorProblem problem(problems::chosen_spec());
+    const auto bounds = problem.bounds();
+    Rng rng(5);
+    std::vector<double> genes(bounds.size());
+    circuit::OpAmpDesign designs[circuit::kMaxLaneWidth];
+    for (auto& design : designs) {
+      for (std::size_t k = 0; k < bounds.size(); ++k) {
+        genes[k] = rng.uniform(bounds[k].lower, bounds[k].upper);
+      }
+      design = problems::IntegratorProblem::decode(genes).opamp;
+    }
+    const auto typical = device::Process::typical();
+    std::vector<device::Process> corners;
+    for (const device::Corner corner : device::kAllCorners) {
+      corners.push_back(typical.at_corner(corner));
+    }
+    const device::Process* processes[circuit::kMaxLaneWidth];
+    for (std::size_t k = 0; k < circuit::kMaxLaneWidth; ++k) {
+      processes[k] = &corners[k % corners.size()];
+    }
+    circuit::OpAmpAnalysis out[circuit::kMaxLaneWidth];
+    const circuit::OpAmpContext context;
+
+    for (const circuit::LaneIsa isa : circuit::detail::compiled_lane_isas()) {
+      const std::string name = "analyze_lanes_" + std::string(circuit::to_string(isa));
+      if (!circuit::detail::cpu_supports(isa)) {
+        std::printf("  %-22s skipped: this CPU cannot run it\n", name.c_str());
+        continue;
+      }
+      const auto time_width = [&](auto width) {
+        constexpr std::size_t W = decltype(width)::value;
+        record(name, W, ns_per_op(200 * scale, [&] {
+                 circuit::detail::analyze_lanes_as<W>(
+                     isa, std::span<const device::Process* const, W>(processes, W),
+                     std::span<const circuit::OpAmpDesign, W>(designs, W), context,
+                     std::span<circuit::OpAmpAnalysis, W>(out, W));
+                 g_sink = out[0].a0;
+               }));
+      };
+      time_width(std::integral_constant<std::size_t, 8>{});
+      time_width(std::integral_constant<std::size_t, 16>{});
+    }
+  }
+
   // --- ranking kernels: legacy vs sweep (m = 2) ----------------------------
   double legacy_512 = 0.0;
   double sweep_512 = 0.0;
@@ -241,6 +298,7 @@ int main() {
   json << "{\n"
        << "  \"bench\": \"kernels\",\n"
        << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
+       << "  \"lane_isa\": \"" << circuit::to_string(circuit::lane_isa()) << "\",\n"
        << "  \"sweep_speedup_at_512\": " << sweep_speedup << ",\n"
        << "  \"sweep_ok\": " << (sweep_ok ? "true" : "false") << ",\n"
        << "  \"results\": [\n";

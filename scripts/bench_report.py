@@ -28,6 +28,7 @@ REQUIRED_BY_BENCH = {
         "batch_size",
         "repeats",
         "hardware_threads",
+        "lane_isa",
         "results",
         "duplicate_rates",
         "cache_ok",
@@ -71,7 +72,7 @@ SELF_CHECKS = {
     # The SIMD lane path must be bit-exact against the scalar oracle on
     # every build and must have actually engaged (lane_groups > 0); the
     # >= 4x speedup itself is folded into simd_ok by the binary when the
-    # run was gated (--simd-gate, the CI native-ISA bench job).
+    # run was gated (--simd-gate, the CI bench job on the default build).
     and d.get("simd_bit_identical") is True
     and d.get("simd_lane_groups", 0) > 0
     and d.get("simd_ok") is True

@@ -40,7 +40,7 @@ REQUIRED_KEYS = {
     "phase_end": ["phase", "partitions", "gen", "front_size"],
     "batch": ["t", "size", "workers", "wall_s"],
     "eval_engine": ["t", "batches", "items"],
-    "env": ["threads", "hardware_concurrency"],
+    "env": ["threads", "hardware_concurrency", "lane_isa"],
     "timer": ["name", "seconds"],
     "migration": ["gen", "migrations"],
 }

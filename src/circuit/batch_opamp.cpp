@@ -3,6 +3,13 @@
 // expression trees are copied verbatim so lane results stay bit-identical
 // (enforced by tests/circuit/batch_opamp_test.cpp and the scint golden
 // suite).
+//
+// This is the one translation unit that includes the lane kernels, and it
+// compiles their three SoA loop helpers twice: at the build's baseline ISA
+// and, in x86-64 builds, as x86-64-v4 (AVX-512) variants selected by
+// function attributes. No file is built with -m/-march flags: the linker
+// would merge inline functions compiled for different ISAs into one copy,
+// which a baseline CPU might then run.
 #include "circuit/batch_opamp.hpp"
 
 #include <algorithm>
@@ -25,11 +32,76 @@ namespace {
 constexpr double kSatGuard = 0.04;
 constexpr double kTiny = 1e-18;
 
+/// The three SoA loop helpers of device/batch_mosfet.hpp at one lane width,
+/// compiled for one instruction-set level.
+template <std::size_t W>
+struct LaneKernels {
+  void (*drain_current)(const ParamLanes<W>&, const double* w, const double* l,
+                        const double* vgs, const double* vds, const double* vsb, double* id);
+  void (*solve_op)(const ParamLanes<W>&, const double* w, const double* l, const double* vgs,
+                   const double* vds, const double* vsb, OpLanes<W>& out);
+  void (*vgs_for_current)(const ParamLanes<W>&, const double* w, const double* l,
+                          const double* id, const double* vds, const double* vsb,
+                          double vgs_max, double* vgs);
+};
+
+template <std::size_t W>
+constexpr LaneKernels<W> kBaselineKernels{&device::drain_current_lanes<W>,
+                                          &device::solve_op_lanes<W>,
+                                          &device::vgs_for_current_lanes<W>};
+
+#if defined(__x86_64__)
+// The x86-64-v4 variants. Only AVX-512's masked lanes let GCC if-convert
+// these loops: at the baseline, and at x86-64-v3, it reports "control flow
+// in loop" and emits scalar code. `flatten` inlines the n-exponent dispatch
+// and every callee: an ordinary inline function keeps the baseline target
+// and would otherwise stay an out-of-line call. The bits cannot differ:
+// -ffp-contract=off holds here too, and +, -, *, /, sqrt, min, max and
+// select are correctly rounded at every vector width.
+template <std::size_t W>
+[[gnu::target("arch=x86-64-v4"), gnu::flatten]] void drain_current_v4(
+    const ParamLanes<W>& p, const double* w, const double* l, const double* vgs,
+    const double* vds, const double* vsb, double* id) {
+  device::drain_current_lanes<W>(p, w, l, vgs, vds, vsb, id);
+}
+
+template <std::size_t W>
+[[gnu::target("arch=x86-64-v4"), gnu::flatten]] void solve_op_v4(
+    const ParamLanes<W>& p, const double* w, const double* l, const double* vgs,
+    const double* vds, const double* vsb, OpLanes<W>& out) {
+  device::solve_op_lanes<W>(p, w, l, vgs, vds, vsb, out);
+}
+
+template <std::size_t W>
+[[gnu::target("arch=x86-64-v4"), gnu::flatten]] void vgs_for_current_v4(
+    const ParamLanes<W>& p, const double* w, const double* l, const double* id,
+    const double* vds, const double* vsb, double vgs_max, double* vgs) {
+  device::vgs_for_current_lanes<W>(p, w, l, id, vds, vsb, vgs_max, vgs);
+}
+
+template <std::size_t W>
+constexpr LaneKernels<W> kV4Kernels{&drain_current_v4<W>, &solve_op_v4<W>,
+                                    &vgs_for_current_v4<W>};
+
+constexpr LaneIsa kCompiledLaneIsas[] = {LaneIsa::Baseline, LaneIsa::X86_64_V4};
+#else
+constexpr LaneIsa kCompiledLaneIsas[] = {LaneIsa::Baseline};
+#endif
+
+template <std::size_t W>
+const LaneKernels<W>& kernels_for(LaneIsa isa) {
+#if defined(__x86_64__)
+  if (isa == LaneIsa::X86_64_V4) return kV4Kernels<W>;
+#endif
+  return kBaselineKernels<W>;
+}
+
 /// diode_vgs() lanes: three fixed-point passes of the inverse model with
 /// VDS following VGS, starting from 0.6 V.
 template <std::size_t W>
-void diode_vgs_lanes(const ParamLanes<W>& params, const double* w, const double* l,
-                     const double* id, double vdd, double* vgs) {
+void diode_vgs_lanes(const LaneKernels<W>& kernels, const ParamLanes<W>& params,
+                     const double* w, const double* l, const double* id, double vdd,
+                     double* vgs) {
   double vds[W], vsb0[W];
   for (std::size_t k = 0; k < W; ++k) {
     vgs[k] = 0.6;
@@ -37,16 +109,15 @@ void diode_vgs_lanes(const ParamLanes<W>& params, const double* w, const double*
   }
   for (int pass = 0; pass < 3; ++pass) {
     for (std::size_t k = 0; k < W; ++k) vds[k] = vgs[k];
-    device::vgs_for_current_lanes<W>(params, w, l, id, vds, vsb0, vdd, vgs);
+    kernels.vgs_for_current(params, w, l, id, vds, vsb0, vdd, vgs);
   }
 }
 
-}  // namespace
-
 template <std::size_t W>
-void analyze_lanes(std::span<const device::Process* const, W> processes,
-                   std::span<const OpAmpDesign, W> designs, const OpAmpContext& context,
-                   std::span<OpAmpAnalysis, W> out) {
+void analyze_with(const LaneKernels<W>& kernels,
+                  std::span<const device::Process* const, W> processes,
+                  std::span<const OpAmpDesign, W> designs, const OpAmpContext& context,
+                  std::span<OpAmpAnalysis, W> out) {
   const auto nmos = device::gather_param_lanes<W>(processes, device::Type::NMOS);
   const auto pmos = device::gather_param_lanes<W>(processes, device::Type::PMOS);
   const double vdd = processes[0]->vdd;
@@ -76,7 +147,7 @@ void analyze_lanes(std::span<const device::Process* const, W> processes,
     refw[k] = ref.w;
     refl[k] = ref.l;
   }
-  diode_vgs_lanes<W>(nmos, refw, refl, ibias, vdd, vgs_ref);
+  diode_vgs_lanes<W>(kernels, nmos, refw, refl, ibias, vdd, vgs_ref);
 
   // ---- Tail fixed point (scalar step 2) ---------------------------------
   double v_tail[W], i5[W], vgs1[W], half_i5[W], vtail_eff[W], vds_half[W];
@@ -89,12 +160,12 @@ void analyze_lanes(std::span<const device::Process* const, W> processes,
   }
   for (int pass = 0; pass < 4; ++pass) {
     for (std::size_t k = 0; k < W; ++k) vtail_eff[k] = std::max(v_tail[k], 1e-3);
-    device::drain_current_lanes<W>(nmos, m5w, m5l, vgs_ref, vtail_eff, zeros, i5);
+    kernels.drain_current(nmos, m5w, m5l, vgs_ref, vtail_eff, zeros, i5);
     for (std::size_t k = 0; k < W; ++k) {
       i5[k] = std::max(i5[k], kTiny);
       half_i5[k] = 0.5 * i5[k];
     }
-    device::vgs_for_current_lanes<W>(nmos, m1w, m1l, half_i5, vds_half, v_tail, vdd, vgs1);
+    kernels.vgs_for_current(nmos, m1w, m1l, half_i5, vds_half, v_tail, vdd, vgs1);
     for (std::size_t k = 0; k < W; ++k) {
       v_tail[k] = std::clamp(context.vicm - vgs1[k], 1e-3, vdd);
     }
@@ -102,14 +173,14 @@ void analyze_lanes(std::span<const device::Process* const, W> processes,
 
   // ---- Mirror load diode + second stage (scalar steps 3-4) --------------
   double vsg3[W], v_first[W], i7[W], id6[W], vocm_arr[W], vdd_m_vocm[W];
-  diode_vgs_lanes<W>(pmos, m3w, m3l, half_i5, vdd, vsg3);
+  diode_vgs_lanes<W>(kernels, pmos, m3w, m3l, half_i5, vdd, vsg3);
   for (std::size_t k = 0; k < W; ++k) {
     v_first[k] = vdd - vsg3[k];
     vocm_arr[k] = context.vocm;
     vdd_m_vocm[k] = vdd - context.vocm;
   }
-  device::drain_current_lanes<W>(nmos, m7w, m7l, vgs_ref, vocm_arr, zeros, i7);
-  device::drain_current_lanes<W>(pmos, m6w, m6l, vsg3, vdd_m_vocm, zeros, id6);
+  kernels.drain_current(nmos, m7w, m7l, vgs_ref, vocm_arr, zeros, i7);
+  kernels.drain_current(pmos, m6w, m6l, vsg3, vdd_m_vocm, zeros, id6);
   for (std::size_t k = 0; k < W; ++k) i7[k] = std::max(i7[k], kTiny);
 
   // ---- Operating points (scalar step 5) ---------------------------------
@@ -119,11 +190,11 @@ void analyze_lanes(std::span<const device::Process* const, W> processes,
     vds1[k] = std::max(v_first[k] - v_tail[k], 1e-3);
     vtail_eff[k] = std::max(v_tail[k], 1e-3);  // final v_tail
   }
-  device::solve_op_lanes<W>(nmos, m1w, m1l, vgs1, vds1, v_tail, op1);
-  device::solve_op_lanes<W>(pmos, m3w, m3l, vsg3, vsg3, zeros, op3);
-  device::solve_op_lanes<W>(nmos, m5w, m5l, vgs_ref, vtail_eff, zeros, op5);
-  device::solve_op_lanes<W>(pmos, m6w, m6l, vsg3, vdd_m_vocm, zeros, op6);
-  device::solve_op_lanes<W>(nmos, m7w, m7l, vgs_ref, vocm_arr, zeros, op7);
+  kernels.solve_op(nmos, m1w, m1l, vgs1, vds1, v_tail, op1);
+  kernels.solve_op(pmos, m3w, m3l, vsg3, vsg3, zeros, op3);
+  kernels.solve_op(nmos, m5w, m5l, vgs_ref, vtail_eff, zeros, op5);
+  kernels.solve_op(pmos, m6w, m6l, vsg3, vdd_m_vocm, zeros, op6);
+  kernels.solve_op(nmos, m7w, m7l, vgs_ref, vocm_arr, zeros, op7);
 
   // ---- Per-lane epilogue: gains, capacitances, large-signal, margins ----
   // Cheap relative to the solves; scalar expression trees copied from
@@ -186,6 +257,64 @@ void analyze_lanes(std::span<const device::Process* const, W> processes,
     o.margins.m7 = margin(op7, k, context.vocm);
     o.vov_worst = std::min({op1.vov[k], op3.vov[k], op5.vov[k], op6.vov[k], op7.vov[k]});
   }
+}
+
+}  // namespace
+
+namespace detail {
+
+std::span<const LaneIsa> compiled_lane_isas() { return kCompiledLaneIsas; }
+
+bool cpu_supports(LaneIsa isa) {
+  if (isa == LaneIsa::Baseline) return true;
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("x86-64-v4") != 0;
+#else
+  return false;
+#endif
+}
+
+template <std::size_t W>
+void analyze_lanes_as(LaneIsa isa, std::span<const device::Process* const, W> processes,
+                      std::span<const OpAmpDesign, W> designs, const OpAmpContext& context,
+                      std::span<OpAmpAnalysis, W> out) {
+  ANADEX_REQUIRE(cpu_supports(isa), "this CPU cannot run the requested lane kernels");
+  analyze_with<W>(kernels_for<W>(isa), processes, designs, context, out);
+}
+
+template void analyze_lanes_as<4>(LaneIsa, std::span<const device::Process* const, 4>,
+                                  std::span<const OpAmpDesign, 4>, const OpAmpContext&,
+                                  std::span<OpAmpAnalysis, 4>);
+template void analyze_lanes_as<8>(LaneIsa, std::span<const device::Process* const, 8>,
+                                  std::span<const OpAmpDesign, 8>, const OpAmpContext&,
+                                  std::span<OpAmpAnalysis, 8>);
+template void analyze_lanes_as<16>(LaneIsa, std::span<const device::Process* const, 16>,
+                                   std::span<const OpAmpDesign, 16>, const OpAmpContext&,
+                                   std::span<OpAmpAnalysis, 16>);
+
+}  // namespace detail
+
+LaneIsa lane_isa() {
+  static const LaneIsa isa =
+      detail::cpu_supports(LaneIsa::X86_64_V4) ? LaneIsa::X86_64_V4 : LaneIsa::Baseline;
+  return isa;
+}
+
+std::string_view to_string(LaneIsa isa) {
+  if (isa == LaneIsa::X86_64_V4) return "x86-64-v4";
+#if defined(__x86_64__)
+  return "x86-64";
+#else
+  return "baseline";
+#endif
+}
+
+template <std::size_t W>
+void analyze_lanes(std::span<const device::Process* const, W> processes,
+                   std::span<const OpAmpDesign, W> designs, const OpAmpContext& context,
+                   std::span<OpAmpAnalysis, W> out) {
+  analyze_with<W>(kernels_for<W>(lane_isa()), processes, designs, context, out);
 }
 
 template void analyze_lanes<4>(std::span<const device::Process* const, 4>,

@@ -3,13 +3,17 @@
 // These are op-for-op transliterations of the scalar routines in mosfet.cpp
 // into select form (branches become ternaries), laid out as plain loops
 // over W-sized arrays so the autovectorizer can spread lanes across SIMD
-// registers under -O3 (-march=native in the CI simd/bench jobs). Every
-// floating-point expression tree is copied from the scalar code verbatim:
-// with -ffp-contract=off (set globally) and IEEE-754 basic operations
-// (+,-,*,/,sqrt,min,max are correctly rounded whether issued scalar or
-// packed), the lane results are BIT-IDENTICAL to the scalar oracle. The
-// golden-equivalence suite (tests/scint/batch_equivalence_test.cpp)
-// enforces this for every spec set, width and random genome.
+// registers under -O3. GCC if-converts the loops only where the ISA has
+// masked lanes: circuit/batch_opamp.cpp, the one file that includes this
+// header, compiles the three *_lanes helpers at the baseline (which stays
+// scalar) and again as x86-64-v4 (AVX-512) variants, and runs the widest
+// level the CPU supports. Every floating-point expression tree is copied
+// from the scalar code verbatim: with -ffp-contract=off (set globally) and
+// IEEE-754 basic operations (+,-,*,/,sqrt,min,max are correctly rounded
+// whether issued scalar or packed), the lane results are BIT-IDENTICAL to
+// the scalar oracle. The golden-equivalence suite
+// (tests/scint/batch_equivalence_test.cpp) enforces this for every spec
+// set, width and random genome.
 //
 // Each lane carries its own process (a corner, or one Monte-Carlo sample):
 // ParamLanes holds vt0 and mu_cox per lane and every other DeviceParams
@@ -50,10 +54,12 @@
 namespace anadex::device {
 
 /// SoA operating points for W lanes (mirror of device::OperatingPoint).
-/// `region` holds the Region enum value per lane.
+/// `region` holds the Region enum value per lane, 64 bits wide like every
+/// other lane: one byte-wide store makes GCC vectorize solve_op's whole
+/// lane loop with 16-byte vectors even where 64-byte ones are available.
 template <std::size_t W>
 struct OpLanes {
-  std::uint8_t region[W];
+  std::uint64_t region[W];
   double id[W];
   double gm[W];
   double gds[W];
@@ -256,9 +262,9 @@ inline void solve_op_lanes_impl(const ParamLanes<W>& lanes, const double* w, con
 
     const bool cutoff = vov <= 0.0;
     const bool saturated = vds[k] >= vdsat;
-    out.region[k] = cutoff ? static_cast<std::uint8_t>(Region::Cutoff)
-                           : (saturated ? static_cast<std::uint8_t>(Region::Saturation)
-                                        : static_cast<std::uint8_t>(Region::Triode));
+    out.region[k] = cutoff ? static_cast<std::uint64_t>(Region::Cutoff)
+                           : (saturated ? static_cast<std::uint64_t>(Region::Saturation)
+                                        : static_cast<std::uint64_t>(Region::Triode));
     out.vt[k] = vt;
     out.vov[k] = vov;
     out.vdsat[k] = cutoff ? 0.0 : vdsat;  // scalar early-return leaves the default

@@ -59,9 +59,9 @@ class LaneEvaluator {
   /// through, and chains broken by a lane-unaware layer report false.
   virtual bool lanes_supported() const = 0;
 
-  /// Group size the engine should claim per evaluate_lanes() call.
-  /// Typically the SIMD width the kernels were tuned for (8 doubles on
-  /// AVX-512, 4 on AVX2). Must be >= 2.
+  /// Group size the engine should claim per evaluate_lanes() call: the
+  /// group width the problem's kernels run fastest per item
+  /// (IntegratorProblem returns 16). Must be >= 2.
   virtual std::size_t preferred_lane_width() const = 0;
 
   /// Evaluates genes[i] into *outs[i] for every i. The spans are the same

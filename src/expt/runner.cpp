@@ -24,6 +24,7 @@
 #include "sacga/local_only.hpp"
 #include "sacga/mesacga.hpp"
 #include "sacga/sacga.hpp"
+#include "scint/batch_integrator.hpp"
 
 namespace anadex::expt {
 
@@ -388,12 +389,14 @@ class RunBase : public LiveRun {
       sink_->record(obs::Event{"run_start", obs::TraceLevel::Gen, false, fields});
     }
     if (sink_ != nullptr && sink_->enabled(obs::TraceLevel::Eval)) {
-      // The engine that evaluates: the run's own, or the serve hub.
+      // The engine that evaluates (the run's own, or the serve hub) and the
+      // instruction-set level its lane kernels run on.
       const engine::EvalEngine& engine = stack_->engine();
       const obs::Field fields[] = {
           obs::u64("threads", engine.threads()),
           obs::u64("hardware_concurrency", std::thread::hardware_concurrency()),
           obs::str("batch_eval", engine::to_string(engine.batch_eval())),
+          obs::str("lane_isa", scint::lane_isa_name()),
       };
       sink_->record(obs::Event{"env", obs::TraceLevel::Eval, true, fields});
     }

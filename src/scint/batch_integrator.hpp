@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <span>
+#include <string_view>
 #include <type_traits>
 
 #include "circuit/batch_opamp.hpp"
@@ -39,6 +40,10 @@ extern template void evaluate_lanes<16>(std::span<const device::Process* const, 
                                         std::span<const IntegratorDesign, 16>,
                                         const IntegratorContext&,
                                         std::span<IntegratorPerformance, 16>);
+
+/// The instruction-set level the lane kernels run on in this process
+/// (circuit::lane_isa()), by name: "x86-64-v4" or the baseline's "x86-64".
+inline std::string_view lane_isa_name() { return circuit::to_string(circuit::lane_isa()); }
 
 /// The lane kernels check no preconditions, so callers screen every design
 /// with this first. It rejects non-positive (or NaN) device geometry and

@@ -3,9 +3,19 @@
 // broadcast to every lane or a different process per lane. Field-by-field
 // bit comparison (not EXPECT_DOUBLE_EQ) because checkpoint byte-identity
 // between --batch-eval modes rides on exact doubles.
+//
+// Each case runs twice over: through the dispatched analyze_lanes(), and
+// (BatchOpAmpVariant) on every instruction-set level compiled into the
+// binary that this CPU can run, through detail::analyze_lanes_as(). A CPU
+// without AVX-512 skips the x86-64-v4 leg, so run this suite on one that
+// has it before changing the kernels.
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <optional>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +28,10 @@
 #include "problems/spec_suite.hpp"
 
 namespace anadex::circuit {
+
+// GoogleTest names a level parameter with this; found by argument lookup.
+static void PrintTo(LaneIsa isa, std::ostream* os) { *os << to_string(isa); }
+
 namespace {
 
 const device::Process kProc = device::Process::typical();
@@ -84,56 +98,55 @@ std::array<const device::Process*, W> broadcast(const device::Process& process) 
   return lanes;
 }
 
+/// The kernels a case runs: one compiled level through the test seam, or
+/// (nullopt) the level analyze_lanes() dispatches to.
+using Kernels = std::optional<LaneIsa>;
+constexpr Kernels kDispatched = std::nullopt;
+
 template <std::size_t W>
-void check_width(std::uint64_t seed) {
-  const auto designs = random_designs(W, seed);
-  const OpAmpContext context;
-
-  std::array<OpAmpAnalysis, W> lanes;
-  analyze_lanes<W>(broadcast<W>(kProc), std::span<const OpAmpDesign, W>(designs.data(), W),
-                   context, std::span<OpAmpAnalysis, W>(lanes));
-
-  for (std::size_t k = 0; k < W; ++k) {
-    const OpAmpAnalysis scalar = analyze(kProc, designs[k], context);
-    expect_analysis_equal(lanes[k], scalar, k);
+std::array<OpAmpAnalysis, W> run_lanes(const Kernels& kernels,
+                                       std::span<const device::Process* const, W> processes,
+                                       const std::vector<OpAmpDesign>& designs) {
+  const std::span<const OpAmpDesign, W> lane_designs(designs.data(), W);
+  std::array<OpAmpAnalysis, W> out;
+  if (kernels) {
+    detail::analyze_lanes_as<W>(*kernels, processes, lane_designs, OpAmpContext{}, out);
+  } else {
+    analyze_lanes<W>(processes, lane_designs, OpAmpContext{}, out);
   }
+  return out;
 }
 
-TEST(BatchOpAmp, WidthFourBitIdentical) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) check_width<4>(seed);
-}
-
-TEST(BatchOpAmp, WidthEightBitIdentical) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) check_width<8>(seed);
-}
-
-TEST(BatchOpAmp, WidthSixteenBitIdentical) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) check_width<16>(seed);
-}
-
-TEST(BatchOpAmp, EveryCornerBitIdentical) {
-  // The engine evaluates each design on five process corners; the kernels
-  // must agree on all of them, not just typical.
-  const auto designs = random_designs(8, 99);
-  const OpAmpContext context;
-  for (const device::Corner corner : device::kAllCorners) {
-    const device::Process process = kProc.at_corner(corner);
-    std::array<OpAmpAnalysis, 8> lanes;
-    analyze_lanes<8>(broadcast<8>(process), std::span<const OpAmpDesign, 8>(designs.data(), 8),
-                     context, std::span<OpAmpAnalysis, 8>(lanes));
-    for (std::size_t k = 0; k < 8; ++k) {
-      expect_analysis_equal(lanes[k], analyze(process, designs[k], context), k);
+template <std::size_t W>
+void check_width(const Kernels& kernels) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const auto designs = random_designs(W, seed);
+    const auto lanes = run_lanes<W>(kernels, broadcast<W>(kProc), designs);
+    for (std::size_t k = 0; k < W; ++k) {
+      expect_analysis_equal(lanes[k], analyze(kProc, designs[k], OpAmpContext{}), k);
     }
   }
 }
 
-TEST(BatchOpAmp, PerLaneProcessesBitIdentical) {
+void check_every_corner(const Kernels& kernels) {
+  // The engine evaluates each design on five process corners; the kernels
+  // must agree on all of them, not just typical.
+  const auto designs = random_designs(8, 99);
+  for (const device::Corner corner : device::kAllCorners) {
+    const device::Process process = kProc.at_corner(corner);
+    const auto lanes = run_lanes<8>(kernels, broadcast<8>(process), designs);
+    for (std::size_t k = 0; k < 8; ++k) {
+      expect_analysis_equal(lanes[k], analyze(process, designs[k], OpAmpContext{}), k);
+    }
+  }
+}
+
+void check_per_lane_processes(const Kernels& kernels) {
   // One process per lane: the five corners in lanes 0-4 of a single W = 8
   // call (lanes 5-7 repeat TT, FF, SS), each lane against its own scalar
   // analyze(). Corners differ in vt0 and mu_cox, which the kernels read per
   // lane, and in cox and cap_density, which the per-lane epilogue reads.
   const auto designs = random_designs(8, 123);
-  const OpAmpContext context;
   std::array<device::Process, 5> corners;
   for (std::size_t c = 0; c < corners.size(); ++c) {
     corners[c] = kProc.at_corner(device::kAllCorners[c]);
@@ -141,12 +154,65 @@ TEST(BatchOpAmp, PerLaneProcessesBitIdentical) {
   std::array<const device::Process*, 8> processes;
   for (std::size_t k = 0; k < 8; ++k) processes[k] = &corners[k % corners.size()];
 
-  std::array<OpAmpAnalysis, 8> lanes;
-  analyze_lanes<8>(processes, std::span<const OpAmpDesign, 8>(designs.data(), 8), context,
-                   std::span<OpAmpAnalysis, 8>(lanes));
+  const auto lanes = run_lanes<8>(kernels, processes, designs);
   for (std::size_t k = 0; k < 8; ++k) {
-    expect_analysis_equal(lanes[k], analyze(*processes[k], designs[k], context), k);
+    expect_analysis_equal(lanes[k], analyze(*processes[k], designs[k], OpAmpContext{}), k);
   }
+}
+
+TEST(BatchOpAmp, WidthFourBitIdentical) { check_width<4>(kDispatched); }
+TEST(BatchOpAmp, WidthEightBitIdentical) { check_width<8>(kDispatched); }
+TEST(BatchOpAmp, WidthSixteenBitIdentical) { check_width<16>(kDispatched); }
+TEST(BatchOpAmp, EveryCornerBitIdentical) { check_every_corner(kDispatched); }
+TEST(BatchOpAmp, PerLaneProcessesBitIdentical) { check_per_lane_processes(kDispatched); }
+
+class BatchOpAmpVariant : public ::testing::TestWithParam<LaneIsa> {
+ protected:
+  void SetUp() override {
+    if (!detail::cpu_supports(GetParam())) {
+      GTEST_SKIP() << "this CPU cannot run the " << to_string(GetParam()) << " lane kernels";
+    }
+  }
+};
+
+TEST_P(BatchOpAmpVariant, WidthFourBitIdentical) { check_width<4>(GetParam()); }
+TEST_P(BatchOpAmpVariant, WidthEightBitIdentical) { check_width<8>(GetParam()); }
+TEST_P(BatchOpAmpVariant, WidthSixteenBitIdentical) { check_width<16>(GetParam()); }
+TEST_P(BatchOpAmpVariant, EveryCornerBitIdentical) { check_every_corner(GetParam()); }
+TEST_P(BatchOpAmpVariant, PerLaneProcessesBitIdentical) {
+  check_per_lane_processes(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(CompiledLevels, BatchOpAmpVariant,
+                         ::testing::ValuesIn(detail::compiled_lane_isas().begin(),
+                                             detail::compiled_lane_isas().end()),
+                         [](const ::testing::TestParamInfo<LaneIsa>& level) {
+                           std::string name(to_string(level.param));
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
+
+TEST(LaneIsaDispatch, PicksX86_64V4ExactlyWhenTheCpuSupportsIt) {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  const bool v4 = __builtin_cpu_supports("x86-64-v4") != 0;
+#else
+  const bool v4 = false;
+#endif
+  EXPECT_EQ(lane_isa(), v4 ? LaneIsa::X86_64_V4 : LaneIsa::Baseline);
+  EXPECT_EQ(detail::cpu_supports(LaneIsa::X86_64_V4), v4);
+  EXPECT_TRUE(detail::cpu_supports(LaneIsa::Baseline));
+  // The dispatcher only ever picks a level the binary holds.
+  const auto compiled = detail::compiled_lane_isas();
+  EXPECT_EQ(compiled.front(), LaneIsa::Baseline);
+  EXPECT_NE(std::find(compiled.begin(), compiled.end(), lane_isa()), compiled.end());
+}
+
+TEST(LaneIsaDispatch, NamesTheLevelsAsTheTraceRecordsThem) {
+  EXPECT_EQ(to_string(LaneIsa::X86_64_V4), "x86-64-v4");
+#if defined(__x86_64__)
+  EXPECT_EQ(to_string(LaneIsa::Baseline), "x86-64");
+#endif
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "circuit/batch_opamp.hpp"
 #include "common/check.hpp"
 #include "engine/eval_engine.hpp"
 #include "expt/runner.hpp"
@@ -162,6 +163,8 @@ TEST(TraceContent, EvalTraceNamesTheEngineTheRunEvaluatesOn) {
       ++envs;
       EXPECT_EQ(field(line, "threads"), workers);
       EXPECT_EQ(field(line, "batch_eval"), "\"scalar\"");
+      EXPECT_EQ(field(line, "lane_isa"),
+                "\"" + std::string(circuit::to_string(circuit::lane_isa())) + "\"");
     } else if (ev == "\"batch\"") {
       ++batches;
       EXPECT_EQ(field(line, "workers"), workers) << line;
