@@ -5,8 +5,7 @@
 //       List the 20 graded circuit specifications.
 //   anadex explore [--algo tpg|localonly|sacga|mesacga|island|wsum|spea2]
 //                  [--spec 1..20|chosen] [--generations N] [--population N]
-//                  [--partitions M] [--seed S] [--threads T] [--eval-cache N]
-//                  [--batch-eval scalar|simd|auto] [--csv FILE]
+//                  [--partitions M] [--seed S] [--threads T] [--csv FILE]
 //                  [--history] [--checkpoint FILE] [--checkpoint-every N]
 //                  [--checkpoint-keep N] [--resume [auto]]
 //                  [--eval-deadline S]
@@ -14,17 +13,12 @@
 //       Run one design-space exploration and print the Pareto surface.
 //       --threads T evaluates each generation's offspring on T worker
 //       threads (0 = one per hardware thread); results are bit-identical
-//       for every thread count. --eval-cache N memoizes up to N distinct
-//       genotype evaluations (0 = off, the default); like --threads it is a
-//       pure execution knob — results are bit-identical on or off
-//       (docs/performance.md). --batch-eval simd maps evaluation batches
-//       onto the SoA SIMD kernels (auto = lanes when the batch fills a
-//       group); a third pure execution knob — the lane path is bit-exact
-//       against the scalar oracle, so fronts, traces and checkpoints are
-//       byte-identical in every mode. With --checkpoint, the run state is
-//       snapshotted every N generations (keeping the last --checkpoint-keep
-//       rotated slots) so an interrupted exploration can continue with
-//       --resume (strict: the file must exist and verify) or --resume auto
+//       for every thread count. Each batch runs as SIMD lane groups across
+//       genomes, bit-exact against the scalar oracle (docs/performance.md).
+//       With --checkpoint, the run state is snapshotted every N generations
+//       (keeping the last --checkpoint-keep rotated slots) so an
+//       interrupted exploration can continue with --resume (strict: the
+//       file must exist and verify) or --resume auto
 //       (crash recovery: scan the rotated chain for the newest slot that
 //       checksum-verifies, or start fresh) — also across different
 //       --threads values. SIGINT/SIGTERM stop the run gracefully at the
@@ -49,8 +43,7 @@
 //   anadex compare [--spec ...] [--generations N] [--seed S]
 //       All algorithms head-to-head on one specification.
 //   anadex serve --spool DIR [--threads T] [--eval-cache N] [--slice N]
-//                [--batch-eval scalar|simd|auto] [--poll-ms M] [--drain]
-//                [--trace-level off|gen|eval]
+//                [--poll-ms M] [--drain] [--trace-level off|gen|eval]
 //       Multi-job exploration daemon (docs/serve.md). Watches DIR for
 //       one-line JSON job requests (*.job), admits them as expt::Jobs and
 //       round-robins generation slices over ONE shared evaluation engine
@@ -102,8 +95,7 @@ int usage() {
       "                                 settings bind the resume digest and\n"
       "                                 which are free execution knobs\n"
       "  explore  --algo A --spec S --generations N [--population N]\n"
-      "           [--partitions M] [--seed S] [--threads T] [--eval-cache N]\n"
-      "           [--batch-eval scalar|simd|auto] [--csv FILE]\n"
+      "           [--partitions M] [--seed S] [--threads T] [--csv FILE]\n"
       "           [--history] [--checkpoint FILE] [--checkpoint-every N]\n"
       "           [--checkpoint-keep N] [--resume [auto]] [--eval-deadline S]\n"
       "           [--trace FILE] [--trace-level off|gen|eval]\n"
@@ -111,11 +103,6 @@ int usage() {
       "           [--shard-dir DIR] [--shard-mode process|thread]\n"
       "           (--threads: evaluation workers; 0 = hardware count;\n"
       "            results are identical for every thread count;\n"
-      "            --eval-cache: dedup-cache capacity, 0 = off; results\n"
-      "            are identical with the cache on or off;\n"
-      "            --batch-eval: SIMD lane mapping for batch evaluation\n"
-      "            (simd = SoA kernels, auto = when the batch fills a\n"
-      "            group); bit-identical results in every mode;\n"
       "            --resume auto: recover from the newest verifiable\n"
       "            checkpoint slot, or start fresh; Ctrl-C snapshots and\n"
       "            exits 130, see docs/robustness.md;\n"
@@ -131,11 +118,11 @@ int usage() {
       "  simulate [--order 1..4] [--osr X] [--amplitude A] [--samples N]\n"
       "  compare  [--spec S] [--generations N] [--seed S] [--threads T]\n"
       "  serve    --spool DIR [--threads T] [--eval-cache N] [--slice N]\n"
-      "           [--batch-eval scalar|simd|auto] [--poll-ms M] [--drain]\n"
-      "           [--trace-level off|gen|eval]\n"
+      "           [--poll-ms M] [--drain] [--trace-level off|gen|eval]\n"
       "           (multi-job daemon over one shared engine; drop one-line\n"
       "            JSON requests as DIR/*.job, results appear as\n"
       "            DIR/<id>.result.json — see docs/serve.md;\n"
+      "            --eval-cache: shared dedup-cache capacity, 0 = off;\n"
       "            --slice: generations per round-robin turn;\n"
       "            --drain: exit once the spool is empty)\n";
   return 2;
@@ -214,8 +201,6 @@ int cmd_explore(const ArgParser& args) {
   settings.shards = static_cast<std::size_t>(args.get_int("shards", 1));
   settings.shard_dir = args.get("shard-dir", "");
   settings.threads = static_cast<std::size_t>(args.get_int("threads", 1));
-  settings.eval_cache = static_cast<std::size_t>(args.get_int("eval-cache", 0));
-  settings.batch_eval = engine::parse_batch_eval(args.get("batch-eval", "scalar"));
   settings.record_history = args.get_flag("history");
   settings.checkpoint_path = args.get("checkpoint", "");
   settings.checkpoint_every =
@@ -338,7 +323,8 @@ int cmd_shard_worker(const ArgParser& args) {
   settings.shards = static_cast<std::size_t>(args.get_int("shards", 1));
   settings.threads = static_cast<std::size_t>(args.get_int("threads", 1));
   settings.eval_cache = static_cast<std::size_t>(args.get_int("eval-cache", 0));
-  settings.batch_eval = engine::parse_batch_eval(args.get("batch-eval", "scalar"));
+  settings.batch_eval = engine::parse_batch_eval(
+      args.get("batch-eval", engine::to_string(settings.batch_eval)));
   settings.checkpoint_every =
       static_cast<std::size_t>(args.get_int("checkpoint-every", 50));
   settings.checkpoint_keep =
@@ -366,7 +352,9 @@ int cmd_evaluate(const ArgParser& args) {
   std::vector<double> genes;
   std::stringstream stream(genes_arg);
   std::string token;
-  while (std::getline(stream, token, ',')) genes.push_back(std::strtod(token.c_str(), nullptr));
+  while (std::getline(stream, token, ',')) {
+    genes.push_back(std::strtod(token.c_str(), nullptr));
+  }
   ANADEX_REQUIRE(genes.size() == problems::kNumGenes,
                  "need exactly 15 comma-separated gene values (SI units)");
 
@@ -421,7 +409,6 @@ int cmd_compare(const ArgParser& args) {
   settings.generations = static_cast<std::size_t>(args.get_int("generations", 800));
   settings.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   settings.threads = static_cast<std::size_t>(args.get_int("threads", 1));
-  settings.batch_eval = engine::parse_batch_eval(args.get("batch-eval", "scalar"));
   warn_unused(args);
 
   const problems::IntegratorProblem problem(settings.spec);
@@ -456,8 +443,6 @@ int cmd_serve(const ArgParser& args) {
   const std::size_t cache_capacity =
       static_cast<std::size_t>(args.get_int("eval-cache", 1 << 16));
   const std::size_t slice = static_cast<std::size_t>(args.get_int("slice", 25));
-  const engine::BatchEval batch_eval =
-      engine::parse_batch_eval(args.get("batch-eval", "scalar"));
   const long long poll_ms = args.get_int("poll-ms", 200);
   const bool drain = args.get_flag("drain");
   const auto trace_level =
@@ -480,11 +465,9 @@ int cmd_serve(const ArgParser& args) {
                           /*append=*/true);
   }
 
+  // The hub runs every job's batches as lane groups (per-run batch_eval is
+  // inert under a shared handle, like threads/eval_cache).
   engine::EvalEngine hub(threads, nullptr, cache_capacity);
-  // The hub owns the batch→lane mode for every job it serves (per-run
-  // batch_eval is inert under a shared handle, like threads/eval_cache).
-  // Pure execution knob: job results are bit-identical in every mode.
-  hub.set_batch_eval(batch_eval);
   serve::SchedulerConfig config;
   config.slice_generations = slice;
   config.hub = &hub;

@@ -12,23 +12,25 @@
 // the cached engine must deliver >= 1.3x the uncached throughput
 // (docs/performance.md).
 //
-// The scalar-vs-SIMD section times a Simd-mode serial engine (SoA lane
-// groups across genomes, docs/performance.md) against the scalar model: the
-// five-corner scint::evaluate() loop of tests/support/reference_evaluate.hpp,
-// the oracle, run per item. It also times the Scalar-mode engine, whose
-// per-genome evaluate() runs one genome's corners as lanes. Both lane paths
-// must match the oracle bit for bit on every build; the >= 4x
-// single-thread speedup gate (cross-genome lanes over the scalar model)
-// applies only under --simd-gate, which CI's bench job passes on the
-// default build. That build runs the x86-64-v4 (AVX-512) lane kernels on a
-// CPU that has them and the baseline ones elsewhere; the JSON records which
-// as "lane_isa" (docs/performance.md, "Kernel variants").
+// The scalar-vs-SIMD section times a default (Auto-mode) serial engine (SoA
+// lane groups across genomes, docs/performance.md) against the scalar model:
+// the five-corner scint::evaluate() loop of
+// tests/support/reference_evaluate.hpp, the oracle, run per item. It also
+// times a Scalar-mode engine, whose per-genome evaluate() runs one genome's
+// corners as lanes. Both lane paths must match the oracle bit for bit on
+// every build; the single-thread speedup gate (cross-genome lanes over the
+// scalar model) applies only under --simd-gate, which CI's bench job passes
+// on the default build. That build runs the x86-64-v4 (AVX-512) lane
+// kernels on a CPU that has them and the baseline ones elsewhere; the JSON
+// records which as "lane_isa" (docs/performance.md, "Kernel variants"), and
+// the gate's floor follows it: >= 4x at x86-64-v4, >= 2x at the baseline.
 //
 // Flags / environment:
 //   --duplicate-rate R   run the cache section at the single rate R (0..1)
 //                        instead of the default {0, 0.2, 0.5} sweep
-//   --simd-gate          enforce the >= 4x scalar-to-SIMD speedup (exit 1
-//                        below it); JSON records "simd_gate_enforced"
+//   --simd-gate          enforce the scalar-to-SIMD speedup floor of the
+//                        run's lane_isa (exit 1 below it); JSON records
+//                        "simd_gate_enforced" and "simd_gate_floor"
 //   --shard-gate         enforce the >= 2x 4-shard scale-out speedup (exit
 //                        1 below it); JSON records "shard_gate_enforced"
 //   ANADEX_BENCH_QUICK   shrink batch/repeat budgets for the CI smoke run
@@ -161,6 +163,11 @@ int main(int argc, char** argv) {
   const bool quick = quick_mode();
   const std::size_t batch_size = quick ? 64 : 256;
   const std::size_t repeats = quick ? 3 : 8;
+  // Default engines evaluate in cross-genome lane groups, about twice as
+  // fast per batch as the per-genome path on which the cache, robustness
+  // and shard bars were set. Those sections time twice the work, so their
+  // timed windows stay as long as they were then.
+  const std::size_t lane_window_scale = 2;
 
   std::vector<double> duplicate_rates{0.0, 0.2, 0.5};
   bool simd_gate = false;
@@ -203,8 +210,8 @@ int main(int argc, char** argv) {
   }
 
   // --- scalar model vs SIMD lane kernels (single worker thread) ---
-  // IntegratorProblem implements engine::LaneEvaluator, so a Simd-mode
-  // serial engine maps each batch onto SoA groups of preferred_lane_width()
+  // IntegratorProblem implements engine::LaneEvaluator, so a default serial
+  // engine maps each batch onto SoA groups of preferred_lane_width()
   // genomes (five corners each), while the Scalar-mode engine evaluates
   // item by item, one genome's corners per lane call. The baseline runs
   // the scalar model's corner loop item by item. The lane kernels are
@@ -216,10 +223,10 @@ int main(int argc, char** argv) {
   const std::size_t lane_width = problem.preferred_lane_width();
   const testing_support::ReferenceProblem scalar_model(problem);
   const engine::EvalEngine scalar_serial(scalar_model, 1);
-  const engine::EvalEngine per_genome_serial(problem, 1);
-  engine::EvalEngine simd_serial_engine(problem, 1);
-  simd_serial_engine.set_batch_eval(engine::BatchEval::Simd);
-  const engine::EvalEngine& simd_serial = simd_serial_engine;
+  engine::EvalEngine per_genome_engine(problem, 1);
+  per_genome_engine.set_batch_eval(engine::BatchEval::Scalar);
+  const engine::EvalEngine& per_genome_serial = per_genome_engine;
+  const engine::EvalEngine simd_serial(problem, 1);
   std::vector<moga::Evaluation> scalar_out(batch_size);
   std::vector<moga::Evaluation> per_genome_out(batch_size);
   std::vector<moga::Evaluation> simd_out(batch_size);
@@ -239,18 +246,22 @@ int main(int argc, char** argv) {
   }
   const bool simd_identical =
       identical(simd_out, scalar_out) && identical(per_genome_out, scalar_out);
-  // The gate is meaningless if the lane path never actually engaged.
+  // The gate is meaningless if the lane path never actually engaged. Its
+  // floor follows the kernels the run used: the x86-64-v4 ones measured
+  // 6.5-8.0x over the scalar model, the baseline ones 2.7-3.4x.
   const std::uint64_t simd_lane_groups = simd_serial.lane_groups();
+  const double simd_floor = circuit::lane_isa() == circuit::LaneIsa::X86_64_V4 ? 4.0 : 2.0;
   const bool simd_ok = simd_identical && simd_lane_groups > 0 &&
-                       (!simd_gate || simd_speedup >= 4.0);
+                       (!simd_gate || simd_speedup >= simd_floor);
   std::printf("\nscalar model vs SIMD (1 thread, lane width %zu, %s kernels): %.0f -> %.0f "
-              "evals/sec (%.2fx, gate >= 4x %s, lane groups %llu, bit-identical %s) -> %s\n",
+              "evals/sec (%.2fx, gate >= %.0fx %s, lane groups %llu, bit-identical %s) "
+              "-> %s\n",
               lane_width, std::string(circuit::to_string(circuit::lane_isa())).c_str(),
-              scalar_eps, simd_eps, simd_speedup,
+              scalar_eps, simd_eps, simd_speedup, simd_floor,
               simd_gate ? "ENFORCED" : "advisory",
               static_cast<unsigned long long>(simd_lane_groups),
               simd_identical ? "yes" : "NO", simd_ok ? "ok" : "FAIL");
-  std::printf("per-genome lanes (--batch-eval scalar): %.0f evals/sec, %.2fx the scalar "
+  std::printf("per-genome lanes (BatchEval::Scalar): %.0f evals/sec, %.2fx the scalar "
               "model; cross-genome lanes %.2fx per-genome\n",
               per_genome_eps, per_genome_eps / scalar_eps, simd_eps / per_genome_eps);
 
@@ -259,10 +270,11 @@ int main(int argc, char** argv) {
       "\n  dup-rate  no-cache e/s   cached e/s   speedup  distinct  hits  bit-identical\n");
   std::vector<CacheRow> cache_rows;
   for (const double rate : duplicate_rates) {
-    // Batch 0 is warm-up only (page-in, first-touch); batches 1..repeats
-    // are timed. Distinct-across-batches genomes keep the warm-up from
+    // Batch 0 is warm-up only (page-in, first-touch); the others are
+    // timed. Distinct-across-batches genomes keep the warm-up from
     // pre-filling the LRU with timed work.
-    const auto batches = duplicated_batches(problem, repeats + 1, batch_size, rate);
+    const auto batches =
+        duplicated_batches(problem, lane_window_scale * repeats + 1, batch_size, rate);
     CacheRow row;
     row.rate = rate;
     const auto run_all = [&](const engine::EvalEngine& eval,
@@ -311,7 +323,7 @@ int main(int argc, char** argv) {
   // best paired ratio — so slow multiplicative noise (frequency scaling,
   // co-tenants) cancels instead of failing the 1% gate spuriously.
   const std::size_t overhead_trials = quick ? 4 : 6;
-  const std::size_t overhead_repeats = repeats * 4;
+  const std::size_t overhead_repeats = repeats * 4 * lane_window_scale;
 
   const engine::EvalEngine plain_serial(problem, 1);
   std::vector<moga::Evaluation> plain_out(batch_size);
@@ -361,7 +373,7 @@ int main(int argc, char** argv) {
   shard_base.population = 64;
   shard_base.islands = 8;
   shard_base.migration_interval = 15;
-  shard_base.generations = quick ? 60 : 150;
+  shard_base.generations = (quick ? 60 : 150) * lane_window_scale;
   shard_base.checkpoint_every = shard_base.generations;  // no mid-run snapshots
   shard_base.seed = 9;
   shard_base.threads = 1;  // per-shard eval threads; shards ARE the parallelism
@@ -466,6 +478,7 @@ int main(int argc, char** argv) {
        << "  \"simd_lane_groups\": " << simd_lane_groups << ",\n"
        << "  \"simd_bit_identical\": " << (simd_identical ? "true" : "false") << ",\n"
        << "  \"simd_gate_enforced\": " << (simd_gate ? "true" : "false") << ",\n"
+       << "  \"simd_gate_floor\": " << simd_floor << ",\n"
        << "  \"simd_ok\": " << (simd_ok ? "true" : "false") << ",\n"
        << "  \"cache_speedup_at_50\": " << cache_speedup_at_50 << ",\n"
        << "  \"cache_ok\": " << (cache_ok ? "true" : "false") << ",\n"

@@ -68,7 +68,7 @@ struct Row {
 
 /// Random bi-objective population with a sprinkle of duplicates and
 /// infeasible members — the shape the selection loop actually ranks.
-moga::Population ranking_population(std::size_t n, std::size_t arity) {
+moga::Population ranking_population(std::size_t n) {
   Rng rng(7);
   moga::Population pop(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -77,7 +77,7 @@ moga::Population ranking_population(std::size_t n, std::size_t arity) {
       ind.eval = pop[i - 1].eval;  // exact duplicate vector
       continue;
     }
-    ind.eval.objectives.resize(arity);
+    ind.eval.objectives.resize(2);
     for (auto& f : ind.eval.objectives) f = rng.uniform();
     if (i % 8 == 7) ind.eval.violations = {rng.uniform(0.5, 2.0)};
   }
@@ -209,7 +209,7 @@ int main() {
   double sweep_512 = 0.0;
   for (const std::size_t n : {std::size_t{128}, std::size_t{256}, std::size_t{512},
                               std::size_t{1024}}) {
-    moga::Population pop = ranking_population(n, 2);
+    moga::Population pop = ranking_population(n);
     const std::size_t iters = std::max<std::size_t>(scale * 40960 / n, 2);
 
     moga::NdsArena arena;
@@ -238,32 +238,10 @@ int main() {
     }
   }
 
-  // --- ranking kernels: legacy vs bitset (m = 3) ---------------------------
-  {
-    const std::size_t n = 256;
-    moga::Population pop = ranking_population(n, 3);
-    std::vector<std::size_t> all(n);
-    for (std::size_t i = 0; i < n; ++i) all[i] = i;
-    const std::size_t iters = std::max<std::size_t>(scale * 16, 2);
-    moga::NdsArena arena;
-    record("nds_legacy_m3", n, ns_per_op(iters, [&] {
-             g_sink = static_cast<double>(
-                 moga::legacy_nondominated_sort(pop, all, arena).size());
-           }));
-    moga::RankingScratch scratch;
-    record("nds_bitset_m3", n, ns_per_op(iters, [&] {
-             g_sink = static_cast<double>(scratch.bitset_sort(pop, all).size());
-           }));
-    if (scratch.bitset_sort(pop, all) != moga::legacy_nondominated_sort(pop, all, arena)) {
-      std::printf("ERROR: bitset kernel diverged from legacy at n=%zu\n", n);
-      return 1;
-    }
-  }
-
   // --- crowding + hypervolume ----------------------------------------------
   {
     const std::size_t n = 512;
-    moga::Population pop = ranking_population(n, 2);
+    moga::Population pop = ranking_population(n);
     moga::RankingScratch scratch;
     const auto fronts = scratch.sort(pop);
     record("crowding", n, ns_per_op(std::max<std::size_t>(scale * 64, 2), [&] {

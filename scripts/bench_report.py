@@ -38,6 +38,7 @@ REQUIRED_BY_BENCH = {
         "simd_lane_groups",
         "simd_bit_identical",
         "simd_gate_enforced",
+        "simd_gate_floor",
         "simd_ok",
         "shard_workers",
         "shard_solo_seconds",

@@ -100,16 +100,6 @@ void EvalEngine::evaluate_batch(std::span<const Genome> genomes,
   submit(*problem_, 0, items, nullptr);
 }
 
-void EvalEngine::evaluate_members(std::span<moga::Individual> members) const {
-  ANADEX_REQUIRE(problem_ != nullptr,
-                 "evaluate_members: hub engines require evaluate_members_as");
-  std::vector<Item> items(members.size());
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    items[i] = Item{&members[i].genes, &members[i].eval};
-  }
-  submit(*problem_, 0, items, nullptr);
-}
-
 void EvalEngine::evaluate_members_as(const moga::Problem& problem,
                                      std::uint64_t context,
                                      std::span<moga::Individual> members,
@@ -421,18 +411,20 @@ void EvalEngine::run_batch(std::span<const Item> items) const {
   trace_timing_ = tracing;
 
   // Lane discovery, per batch (a hub's batch_problem_ changes per batch).
-  // Simd uses lanes whenever the problem supports them; Auto additionally
-  // requires at least one full lane group so tiny batches skip the setup.
+  // Groups are narrowed below the preferred width until every worker of
+  // the pool has one: a 32-item batch on four workers runs as four groups
+  // of 8, not two of 16 with two workers idle. Any width gives the same
+  // bits (LaneEvaluator contract). A group of one item runs per item in
+  // process_group, so a batch no larger than the pool stays per item.
   lanes_ = nullptr;
   lane_width_ = 1;
-  if (batch_eval_ != BatchEval::Scalar) {
+  if (batch_eval_ == BatchEval::Auto) {
     if (const auto* lanes = dynamic_cast<const LaneEvaluator*>(batch_problem_);
         lanes != nullptr && lanes->lanes_supported()) {
-      const std::size_t width = std::max<std::size_t>(1, lanes->preferred_lane_width());
-      if (batch_eval_ == BatchEval::Simd || items.size() >= width) {
-        lanes_ = lanes;
-        lane_width_ = width;
-      }
+      const std::size_t workers = std::max<std::size_t>(1, workers_.size());
+      lanes_ = lanes;
+      lane_width_ = std::max<std::size_t>(
+          1, std::min(lanes->preferred_lane_width(), (items.size() + workers - 1) / workers));
     }
   }
 
@@ -511,7 +503,7 @@ void EvalEngine::worker_loop() {
     // 1 = the classic per-item claim) so a LaneEvaluator sees contiguous,
     // deterministic groups no matter which worker lands on them; results
     // are still written by item index, keeping the bit-identity contract
-    // across thread counts and batch-eval modes.
+    // across thread counts and both batch_eval modes.
     const std::size_t count = item_count_;
     const std::size_t width = lane_width_;
     for (;;) {

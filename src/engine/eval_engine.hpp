@@ -40,20 +40,6 @@ namespace anadex::engine {
 /// One candidate genome, as submitted for evaluation.
 using Genome = std::vector<double>;
 
-/// Anything that can evaluate a batch of genomes into a parallel span of
-/// results. EvalEngine is the in-process implementation; remote or
-/// surrogate-backed evaluators implement the same interface.
-class Evaluator {
- public:
-  virtual ~Evaluator() = default;
-
-  /// Fills out[i] with the evaluation of genomes[i]. Spans must be the
-  /// same size. Implementations must be deterministic: the result for a
-  /// genome may not depend on the other batch members or on scheduling.
-  virtual void evaluate_batch(std::span<const Genome> genomes,
-                              std::span<moga::Evaluation> out) const = 0;
-};
-
 /// Stuck-evaluation watchdog configuration for an EvalEngine. When enabled,
 /// a dedicated watchdog thread arms a wall-clock deadline around every batch
 /// and raises `token` if the batch outlives it. Cooperative evaluators (and
@@ -90,7 +76,7 @@ struct EvalWatchdog {
 /// every job over one worker pool and one dedup cache. Batches are
 /// serialized by the submitting caller either way — the engine supports
 /// one in-flight batch at a time.
-class EvalEngine final : public Evaluator {
+class EvalEngine final {
  public:
   /// `threads`: 1 = serial on the calling thread (no pool is spawned),
   /// 0 = one worker per hardware thread, N = exactly N workers.
@@ -115,12 +101,12 @@ class EvalEngine final : public Evaluator {
   /// Hub form: no bound problem. Every batch must arrive through
   /// evaluate_members_as(), which names the problem to evaluate and the
   /// cache context that keeps different clients' designs from aliasing.
-  /// The problem-bound entry points (evaluate_batch / evaluate_members /
-  /// evaluate / problem()) are preconditions-violations on a hub.
+  /// The problem-bound entry points (evaluate_batch / evaluate /
+  /// problem()) are precondition violations on a hub.
   explicit EvalEngine(std::size_t threads, obs::EventSink* sink = nullptr,
                       std::size_t cache_capacity = 0, EvalWatchdog watchdog = {});
 
-  ~EvalEngine() override;
+  ~EvalEngine();
 
   EvalEngine(const EvalEngine&) = delete;
   EvalEngine& operator=(const EvalEngine&) = delete;
@@ -140,14 +126,14 @@ class EvalEngine final : public Evaluator {
   const EvalWatchdog& watchdog() const { return watchdog_; }
 
   /// Selects how batches are mapped onto a LaneEvaluator-capable problem.
-  /// A pure EXECUTION knob like `threads` and the cache: excluded from the
-  /// checkpoint config digest, and results are bit-identical across all
-  /// three modes (the SIMD path is the scalar model transliterated, see
-  /// docs/performance.md). Scalar (default) never uses lanes; Simd groups
-  /// every batch into lanes whenever the problem supports them; Auto uses
-  /// lanes only when a batch has at least one full lane group. Problems
-  /// without lane support always run scalar, in every mode. Call between
-  /// batches only (not concurrently with an in-flight batch).
+  /// A pure EXECUTION setting like `threads` and the cache: excluded from
+  /// the checkpoint config digest, and results are bit-identical in both
+  /// modes (the lane path is the scalar model transliterated, see
+  /// docs/performance.md). Auto (default) runs every batch of two or more
+  /// items as lane groups whenever the problem supports them, narrowing the
+  /// groups so each pool worker gets one; Scalar, the reference path, never
+  /// uses lanes. Problems without lane support run per item in both modes.
+  /// Call between batches only (not concurrently with an in-flight batch).
   void set_batch_eval(BatchEval mode) { batch_eval_ = mode; }
   BatchEval batch_eval() const { return batch_eval_; }
 
@@ -156,7 +142,9 @@ class EvalEngine final : public Evaluator {
   /// groups that threw and were re-run item-by-item on the scalar path.
   std::uint64_t lane_groups() const { return lane_groups_.load(std::memory_order_relaxed); }
   std::uint64_t lane_items() const { return lane_items_.load(std::memory_order_relaxed); }
-  std::uint64_t lane_fallbacks() const { return lane_fallbacks_.load(std::memory_order_relaxed); }
+  std::uint64_t lane_fallbacks() const {
+    return lane_fallbacks_.load(std::memory_order_relaxed);
+  }
 
   /// Number of batches whose deadline expired (watchdog enabled only).
   std::size_t watchdog_fires() const { return watchdog_fires_; }
@@ -176,19 +164,17 @@ class EvalEngine final : public Evaluator {
   /// measurement only and never feeds back into results.
   double busy_seconds() const { return busy_seconds_; }
 
+  /// Fills out[i] with the evaluation of genomes[i] under the bound
+  /// problem. The spans must be the same size.
   void evaluate_batch(std::span<const Genome> genomes,
-                      std::span<moga::Evaluation> out) const override;
+                      std::span<moga::Evaluation> out) const;
 
-  /// Batch-evaluates `members[i].genes` into `members[i].eval` — the shape
-  /// every evolver's generation loop needs.
-  void evaluate_members(std::span<moga::Individual> members) const;
-
-  /// The multi-client form of evaluate_members: evaluates `members` under
+  /// Batch-evaluates `members[i].genes` into `members[i].eval` under
   /// `problem`, filing cache entries under `context` so two clients with
   /// different problems can never alias identical genes. When `client` is
   /// non-null the batch's requested/evaluated/hit deltas are accumulated
   /// into it as well as the engine totals. Works on bound engines too
-  /// (EngineLease routes both modes through here).
+  /// (EngineLease routes both forms through here).
   void evaluate_members_as(const moga::Problem& problem, std::uint64_t context,
                            std::span<moga::Individual> members,
                            EvalStats* client = nullptr) const;
@@ -266,8 +252,9 @@ class EvalEngine final : public Evaluator {
   /// caller-supplied problem on a hub.
   mutable const moga::Problem* batch_problem_ = nullptr;
   /// Lane evaluator of the CURRENT batch (null = scalar), and the group
-  /// width workers claim by. Published with `items_` under the same
-  /// discipline; re-discovered per batch (hubs switch problems per batch).
+  /// width workers claim by (the preferred width, narrowed so each worker
+  /// gets a group). Published with `items_` under the same discipline;
+  /// re-discovered per batch (hubs switch problems per batch).
   mutable const LaneEvaluator* lanes_ = nullptr;
   mutable std::size_t lane_width_ = 1;
   mutable const Item* items_ = nullptr;
@@ -279,7 +266,7 @@ class EvalEngine final : public Evaluator {
   mutable bool batch_open_ = false;       ///< workers may still join the batch
   mutable std::exception_ptr first_error_;
   mutable std::size_t first_error_index_ = 0;
-  BatchEval batch_eval_ = BatchEval::Scalar;
+  BatchEval batch_eval_ = BatchEval::Auto;
   mutable std::atomic<std::uint64_t> lane_groups_{0};
   mutable std::atomic<std::uint64_t> lane_items_{0};
   mutable std::atomic<std::uint64_t> lane_fallbacks_{0};

@@ -101,14 +101,17 @@ struct RunSettings {
   /// per hardware thread, N = exactly N workers.
   std::size_t threads = 1;
   /// Evaluation memoization: 0 = off, N = dedup duplicate genomes within
-  /// each batch and keep the last N distinct evaluations in an LRU.
+  /// each batch and keep the last N distinct evaluations in an LRU. No CLI
+  /// flag (`anadex serve --eval-cache` sizes the hub's shared cache).
   std::size_t eval_cache = 0;
   /// Shared-engine lease (anadex serve): empty = the run builds its own
   /// engine; a hub handle makes it evaluate through the hub's worker pool
   /// and cache, and `threads` / `eval_cache` / `batch_eval` are ignored.
   engine::EngineHandle engine;
-  /// Batch-to-SIMD-lane mapping (engine::EvalEngine::set_batch_eval).
-  engine::BatchEval batch_eval = engine::BatchEval::Scalar;
+  /// Batch-to-lane mapping (engine::EvalEngine::set_batch_eval): Auto runs
+  /// each batch as lane groups across genomes, Scalar per genome. No CLI
+  /// flag; library callers pick Scalar for the reference path.
+  engine::BatchEval batch_eval = engine::BatchEval::Auto;
 
   /// Multi-process sharding (docs/sharding.md): how many worker shards the
   /// island ring is split across. 1 (default) = ordinary in-process run.

@@ -63,9 +63,9 @@
   DIGEST(fault_injection,    "chaos",      "")                        \
   /* Pure execution knobs (results byte-identical for every value). */ \
   KNOB(threads,          "threads")                                   \
-  KNOB(eval_cache,       "eval-cache")                                \
+  KNOB(eval_cache,       "")                                          \
   KNOB(engine,           "")                                          \
-  KNOB(batch_eval,       "batch-eval")                                \
+  KNOB(batch_eval,       "")                                          \
   KNOB(shards,           "shards")                                    \
   KNOB(shard_dir,        "shard-dir")                                 \
   KNOB(checkpoint_path,  "checkpoint")                                \

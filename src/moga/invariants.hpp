@@ -1,6 +1,6 @@
 // Structural verifiers for the ranking kernels' canonical-order contract.
 //
-// Every NDS kernel (sweep, bitset, legacy — see nds.hpp) promises fronts
+// Both NDS kernels (sweep and legacy — see nds.hpp) promise fronts
 // in canonical form: front 0 first, each front non-empty, strictly
 // ascending by population index, fronts disjoint, and together covering
 // the selection exactly once. Checkpoint bit-identity, trace byte-identity

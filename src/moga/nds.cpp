@@ -1,7 +1,6 @@
 #include "moga/nds.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
 
 #include "common/check.hpp"
@@ -101,9 +100,8 @@ std::vector<std::vector<std::size_t>> legacy_nondominated_sort(
 std::vector<std::vector<std::size_t>> RankingScratch::sort(
     Population& population, std::span<const std::size_t> indices) {
   flat_.build(population, indices);
-  if (flat_.uniform() && flat_.all_finite()) {
-    if (flat_.arity() == 2) return sweep_on_flat(population);
-    if (flat_.arity() > 2) return bitset_on_flat(population);
+  if (flat_.uniform() && flat_.all_finite() && flat_.arity() == 2) {
+    return sweep_on_flat(population);
   }
   return legacy_nondominated_sort(population, indices, arena_);
 }
@@ -121,15 +119,6 @@ std::vector<std::vector<std::size_t>> RankingScratch::sweep_sort(
                      (flat_.uniform() && flat_.all_finite() && flat_.arity() == 2),
                  "sweep_sort needs a finite, uniformly bi-objective selection");
   return sweep_on_flat(population);
-}
-
-std::vector<std::vector<std::size_t>> RankingScratch::bitset_sort(
-    Population& population, std::span<const std::size_t> indices) {
-  flat_.build(population, indices);
-  ANADEX_REQUIRE(flat_.count() == 0 ||
-                     (flat_.uniform() && flat_.all_finite() && flat_.arity() >= 1),
-                 "bitset_sort needs a finite, uniform-arity selection");
-  return bitset_on_flat(population);
 }
 
 std::vector<std::vector<std::size_t>> RankingScratch::finish(
@@ -221,81 +210,6 @@ std::vector<std::vector<std::size_t>> RankingScratch::sweep_on_flat(
     ++front_count;
   }
   return finish(population, front_count);
-}
-
-std::vector<std::vector<std::size_t>> RankingScratch::bitset_on_flat(
-    Population& population) {
-  const std::size_t n = flat_.count();
-  if (n == 0) return {};
-  const std::size_t m = flat_.arity();
-  const std::size_t words = (n + 63) / 64;
-  rows_.assign(n * words, 0);
-  count_.assign(n, 0);
-  const std::span<const double> values = flat_.values();
-
-  for (std::size_t p = 0; p < n; ++p) {
-    const double vp = flat_.violation(p);
-    const double* pv = values.data() + p * m;
-    for (std::size_t q = p + 1; q < n; ++q) {
-      const double vq = flat_.violation(q);
-      int dir = 0;  // 1: p dominates q, -1: q dominates p
-      if (vp == 0.0 && vq == 0.0) {
-        const double* qv = values.data() + q * m;
-        bool p_better = false;
-        bool q_better = false;
-        for (std::size_t k = 0; k < m; ++k) {
-          if (pv[k] < qv[k]) {
-            p_better = true;
-          } else if (qv[k] < pv[k]) {
-            q_better = true;
-          }
-          if (p_better && q_better) break;
-        }
-        if (p_better != q_better) dir = p_better ? 1 : -1;
-      } else if (vp == 0.0) {
-        dir = 1;
-      } else if (vq == 0.0) {
-        dir = -1;
-      } else if (vp != vq) {
-        dir = vp < vq ? 1 : -1;
-      }
-      if (dir == 1) {
-        rows_[p * words + (q >> 6)] |= std::uint64_t{1} << (q & 63);
-        ++count_[q];
-      } else if (dir == -1) {
-        rows_[q * words + (p >> 6)] |= std::uint64_t{1} << (p & 63);
-        ++count_[p];
-      }
-    }
-  }
-
-  front_of_.assign(n, 0);
-  arena_.current.clear();
-  for (std::size_t p = 0; p < n; ++p) {
-    if (count_[p] == 0) arena_.current.push_back(p);
-  }
-  std::size_t assigned = 0;
-  std::size_t front = 0;
-  while (!arena_.current.empty()) {
-    assigned += arena_.current.size();
-    for (std::size_t p : arena_.current) front_of_[p] = front;
-    arena_.next.clear();
-    for (std::size_t p : arena_.current) {
-      const std::uint64_t* row = rows_.data() + p * words;
-      for (std::size_t w = 0; w < words; ++w) {
-        std::uint64_t bits = row[w];
-        while (bits != 0) {
-          const std::size_t q = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-          bits &= bits - 1;
-          if (--count_[q] == 0) arena_.next.push_back(q);
-        }
-      }
-    }
-    std::swap(arena_.current, arena_.next);
-    ++front;
-  }
-  ANADEX_ASSERT(assigned == n, "non-dominated sort must assign every individual");
-  return finish(population, front);
 }
 
 void RankingScratch::crowding(Population& population,

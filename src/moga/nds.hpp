@@ -2,18 +2,15 @@
 // NSGA-II) using constraint-domination, with specialized SoA kernels for
 // the hot selection path.
 //
-// Three kernels produce identical fronts (see tests/moga/nds_kernels_test):
+// Two kernels produce identical fronts (see tests/moga/nds_kernels_test):
 //
 //   * sweep  — bi-objective populations with finite objectives/violations:
 //              a Jensen-style sort + binary-search front assignment,
 //              O(n log n) instead of the pairwise O(M n^2).
-//   * bitset — m > 2 (finite, uniform arity): pairwise constrained
-//              dominance over flat buffers with early exit, adjacency held
-//              in packed 64-bit rows, Kung-style peeling over the bits.
 //   * legacy — the original pairwise peeling over `Individual`s, kept as
-//              the reference implementation and the fallback for
-//              non-uniform or non-finite selections; it reuses a per-call
-//              arena instead of reallocating its adjacency lists.
+//              the reference implementation and the path for every other
+//              selection (m > 2, non-uniform or non-finite); it reuses a
+//              per-call arena instead of reallocating its adjacency lists.
 //
 // Front ordering contract: every kernel returns each front sorted in
 // ascending population-index order (front 0 first). The legacy
@@ -23,7 +20,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -46,8 +42,8 @@ struct NdsArena {
 /// The original O(M N^2) pairwise kernel over `population[indices]`,
 /// buffered in `arena`. Writes `rank`, returns fronts in the canonical
 /// ascending order. Kept as the reference implementation for the
-/// equivalence tests and as the fallback for selections the flat kernels
-/// do not accept.
+/// equivalence tests and as the path for selections the sweep kernel does
+/// not accept.
 std::vector<std::vector<std::size_t>> legacy_nondominated_sort(
     Population& population, std::span<const std::size_t> indices, NdsArena& arena);
 
@@ -57,8 +53,8 @@ std::vector<std::vector<std::size_t>> legacy_nondominated_sort(
 class RankingScratch {
  public:
   /// Sorts `population[indices]` into non-domination fronts, dispatching
-  /// to the sweep (m == 2), bitset (m > 2) or legacy kernel. Writes
-  /// `rank`; fronts come back in canonical ascending order.
+  /// to the sweep kernel (finite, uniform m == 2) or the legacy one.
+  /// Writes `rank`; fronts come back in canonical ascending order.
   std::vector<std::vector<std::size_t>> sort(Population& population,
                                              std::span<const std::size_t> indices);
   std::vector<std::vector<std::size_t>> sort(Population& population);
@@ -67,17 +63,13 @@ class RankingScratch {
   /// Identical values to the historical per-individual implementation.
   void crowding(Population& population, std::span<const std::size_t> front);
 
-  // The individual kernels, exposed for the golden-equivalence tests and
-  // the micro benches. Preconditions: a uniform, all-finite selection with
-  // arity 2 (sweep) or >= 2 (bitset).
+  // The sweep kernel, exposed for the golden-equivalence tests and the
+  // micro benches. Precondition: a uniform, all-finite, arity-2 selection.
   std::vector<std::vector<std::size_t>> sweep_sort(Population& population,
                                                    std::span<const std::size_t> indices);
-  std::vector<std::vector<std::size_t>> bitset_sort(Population& population,
-                                                    std::span<const std::size_t> indices);
 
  private:
   std::vector<std::vector<std::size_t>> sweep_on_flat(Population& population);
-  std::vector<std::vector<std::size_t>> bitset_on_flat(Population& population);
   /// Writes ranks and converts front_of_ into canonically ordered fronts.
   std::vector<std::vector<std::size_t>> finish(Population& population,
                                                std::size_t front_count);
@@ -88,9 +80,6 @@ class RankingScratch {
   // Sweep buffers.
   std::vector<std::size_t> order_;
   std::vector<std::pair<double, double>> last_;  ///< per-front last-added point
-  // Bitset buffers.
-  std::vector<std::uint64_t> rows_;
-  std::vector<std::size_t> count_;
   // Crowding buffers.
   std::vector<std::size_t> crowd_order_;
   std::vector<double> crowd_;

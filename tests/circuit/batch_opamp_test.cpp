@@ -2,7 +2,7 @@
 // bit-identical analyses for every compiled lane width, with one process
 // broadcast to every lane or a different process per lane. Field-by-field
 // bit comparison (not EXPECT_DOUBLE_EQ) because checkpoint byte-identity
-// between --batch-eval modes rides on exact doubles.
+// between batch_eval modes rides on exact doubles.
 //
 // Each case runs twice over: through the dispatched analyze_lanes(), and
 // (BatchOpAmpVariant) on every instruction-set level compiled into the

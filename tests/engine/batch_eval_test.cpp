@@ -1,18 +1,21 @@
-// The --batch-eval execution knob at the engine layer: lane-group claiming
-// must be bit-identical to per-item evaluation across modes and thread
-// counts, the Auto heuristic must only engage lanes when a batch fills a
-// group, a throwing lane evaluator must fall back per item (counted, not
-// fatal), and GuardedProblem's fault accounting must match scalar mode
-// exactly when lanes re-run faulty items.
+// The batch_eval execution setting at the engine layer: the default (Auto)
+// engine claims lane groups for every multi-item batch, narrowed so each
+// worker of a pool gets one, bit-identical to per-item (Scalar) evaluation
+// across thread counts; a one-item batch stays per item; a throwing lane
+// evaluator must fall back per item (counted, not fatal), and
+// GuardedProblem's fault accounting must match scalar mode exactly when
+// lanes re-run faulty items.
 #include "engine/eval_engine.hpp"
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/simd/lane_evaluator.hpp"
+#include "expt/runner.hpp"
 #include "problems/integrator_problem.hpp"
 #include "problems/spec_suite.hpp"
 #include "robust/guarded_problem.hpp"
@@ -69,63 +72,101 @@ class ThrowingLanesProblem final : public moga::Problem, public LaneEvaluator {
   const moga::Problem& inner_;
 };
 
+/// Evaluates `genomes` on a per-item (Scalar) engine: the reference bits.
+std::vector<moga::Evaluation> scalar_reference(const moga::Problem& problem,
+                                               const std::vector<Genome>& genomes) {
+  EvalEngine scalar(problem, 1);
+  scalar.set_batch_eval(BatchEval::Scalar);
+  std::vector<moga::Evaluation> reference(genomes.size());
+  scalar.evaluate_batch(genomes, reference);
+  EXPECT_EQ(scalar.lane_groups(), 0u);
+  return reference;
+}
+
 TEST(BatchEvalKnob, ParseAndToStringRoundTrip) {
   EXPECT_EQ(parse_batch_eval("scalar"), BatchEval::Scalar);
-  EXPECT_EQ(parse_batch_eval("simd"), BatchEval::Simd);
   EXPECT_EQ(parse_batch_eval("auto"), BatchEval::Auto);
-  for (const BatchEval mode : {BatchEval::Scalar, BatchEval::Simd, BatchEval::Auto}) {
+  for (const BatchEval mode : {BatchEval::Scalar, BatchEval::Auto}) {
     EXPECT_EQ(parse_batch_eval(to_string(mode)), mode);
   }
+  EXPECT_THROW(parse_batch_eval("simd"), std::exception);
   EXPECT_THROW(parse_batch_eval("vector"), std::exception);
 }
 
-TEST(BatchEvalKnob, SimdModeBitIdenticalAcrossThreadCounts) {
+TEST(BatchEvalKnob, DefaultsAreAuto) {
+  const problems::IntegratorProblem problem(problems::spec_suite().front());
+  EXPECT_EQ(EvalEngine(problem).batch_eval(), BatchEval::Auto);
+  EXPECT_EQ(EvalEngine(std::size_t{1}).batch_eval(), BatchEval::Auto);  // hub form
+  const expt::RunSettings settings;
+  EXPECT_EQ(settings.batch_eval, BatchEval::Auto);
+}
+
+TEST(BatchEvalKnob, DefaultEngineLanesBitIdenticalAcrossThreadCounts) {
   const problems::IntegratorProblem problem(problems::spec_suite().front());
   const auto genomes = make_genomes(problem, 37);  // ragged: 2 full groups + 5
-
-  const EvalEngine scalar(problem, 1);
-  std::vector<moga::Evaluation> reference(genomes.size());
-  scalar.evaluate_batch(genomes, reference);
-  EXPECT_EQ(scalar.lane_groups(), 0u);  // Scalar is the default mode
+  const auto reference = scalar_reference(problem, genomes);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    EvalEngine simd(problem, threads);
-    simd.set_batch_eval(BatchEval::Simd);
+    const EvalEngine lanes(problem, threads);
     std::vector<moga::Evaluation> out(genomes.size());
-    simd.evaluate_batch(genomes, out);
+    lanes.evaluate_batch(genomes, out);
     expect_evaluations_eq(out, reference);
-    EXPECT_GT(simd.lane_groups(), 0u) << threads << " threads";
-    EXPECT_EQ(simd.lane_items() + simd.lane_fallbacks(), genomes.size())
+    EXPECT_GT(lanes.lane_groups(), 0u) << threads << " threads";
+    EXPECT_EQ(lanes.lane_items() + lanes.lane_fallbacks(), genomes.size())
         << threads << " threads";
   }
 }
 
-TEST(BatchEvalKnob, AutoEngagesLanesOnlyWhenBatchFillsAGroup) {
+TEST(BatchEvalKnob, DefaultEngineEngagesLanesForEveryMultiItemBatch) {
   const problems::IntegratorProblem problem(problems::spec_suite().front());
   const std::size_t width = problem.preferred_lane_width();
 
-  EvalEngine eval(problem, 1);
-  eval.set_batch_eval(BatchEval::Auto);
+  // Batches under one full group still run as a (short) lane group.
+  for (const std::size_t size : {std::size_t{2}, width - 1}) {
+    const auto genomes = make_genomes(problem, size);
+    const auto reference = scalar_reference(problem, genomes);
+    const EvalEngine eval(problem, 1);
+    std::vector<moga::Evaluation> out(genomes.size());
+    eval.evaluate_batch(genomes, out);
+    expect_evaluations_eq(out, reference);
+    EXPECT_EQ(eval.lane_groups(), 1u) << size << " items";
+    EXPECT_EQ(eval.lane_items(), size) << size << " items";
+  }
 
-  const auto small = make_genomes(problem, width - 1);
-  std::vector<moga::Evaluation> small_out(small.size());
-  eval.evaluate_batch(small, small_out);
-  EXPECT_EQ(eval.lane_groups(), 0u);  // under one group: stays scalar
+  // A one-item batch has nothing to group: it stays per item.
+  const auto single = make_genomes(problem, 1);
+  const auto reference = scalar_reference(problem, single);
+  const EvalEngine eval(problem, 1);
+  std::vector<moga::Evaluation> out(1);
+  eval.evaluate_batch(single, out);
+  expect_evaluations_eq(out, reference);
+  EXPECT_EQ(eval.lane_groups(), 0u);
+  EXPECT_EQ(eval.lane_fallbacks(), 0u);
+}
 
-  const auto full = make_genomes(problem, width);
-  std::vector<moga::Evaluation> full_out(full.size());
-  eval.evaluate_batch(full, full_out);
-  EXPECT_GT(eval.lane_groups(), 0u);  // one full group: lanes engage
-
-  // Simd mode forces lanes even under one group's worth of items.
-  EvalEngine forced(problem, 1);
-  forced.set_batch_eval(BatchEval::Simd);
-  std::vector<moga::Evaluation> forced_out(small.size());
-  forced.evaluate_batch(small, forced_out);
-  EXPECT_GT(forced.lane_groups(), 0u);
-  for (std::size_t i = 0; i < small.size(); ++i) {
-    EXPECT_EQ(forced_out[i].objectives, small_out[i].objectives) << "item " << i;
-    EXPECT_EQ(forced_out[i].violations, small_out[i].violations) << "item " << i;
+TEST(BatchEvalKnob, PoolNarrowsGroupsUntilEveryWorkerHasOne) {
+  // The width shrinks below preferred_lane_width() when the batch holds
+  // fewer full groups than the pool has workers, and to one item (per-item
+  // evaluation) when it holds no more items than workers.
+  const problems::IntegratorProblem problem(problems::spec_suite().front());
+  ASSERT_EQ(problem.preferred_lane_width(), 16u);
+  struct Case {
+    std::size_t threads, items, groups;
+  };
+  for (const Case c : {Case{4, 32, 4},    // width 8, not two groups of 16
+                       Case{8, 37, 8},    // width 5: seven groups of 5 and one of 2
+                       Case{4, 100, 7},   // six groups of 16 and one of 4
+                       Case{4, 4, 0}}) {  // width 1: per item
+    const auto genomes = make_genomes(problem, c.items);
+    const auto reference = scalar_reference(problem, genomes);
+    const EvalEngine eval(problem, c.threads);
+    std::vector<moga::Evaluation> out(genomes.size());
+    eval.evaluate_batch(genomes, out);
+    expect_evaluations_eq(out, reference);
+    const std::string where =
+        std::to_string(c.items) + " items, " + std::to_string(c.threads) + " threads";
+    EXPECT_EQ(eval.lane_groups(), c.groups) << where;
+    EXPECT_EQ(eval.lane_items(), c.groups == 0 ? 0 : c.items) << where;
   }
 }
 
@@ -134,13 +175,10 @@ TEST(BatchEvalKnob, ThrowingLaneEvaluatorFallsBackPerItem) {
   const ThrowingLanesProblem problem(inner);
   const auto genomes = make_genomes(problem, 19);
 
-  const EvalEngine scalar(inner, 1);
-  std::vector<moga::Evaluation> reference(genomes.size());
-  scalar.evaluate_batch(genomes, reference);
+  const auto reference = scalar_reference(inner, genomes);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    EvalEngine eval(problem, threads);
-    eval.set_batch_eval(BatchEval::Simd);
+    const EvalEngine eval(problem, threads);
     std::vector<moga::Evaluation> out(genomes.size());
     eval.evaluate_batch(genomes, out);
     expect_evaluations_eq(out, reference);
@@ -166,16 +204,13 @@ TEST(BatchEvalKnob, GuardedProblemFaultAccountingMatchesScalarMode) {
 
   robust::GuardPolicy policy;  // default: two retries then penalize
   const robust::GuardedProblem scalar_guard(inner, policy);
-  const EvalEngine scalar(scalar_guard, 1);
-  std::vector<moga::Evaluation> reference(genomes.size());
-  scalar.evaluate_batch(genomes, reference);
+  const auto reference = scalar_reference(scalar_guard, genomes);
   const robust::FaultReport scalar_report = scalar_guard.report();
   EXPECT_GT(scalar_report.total_faults(), 0u);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     const robust::GuardedProblem guard(inner, policy);
-    EvalEngine eval(guard, threads);
-    eval.set_batch_eval(BatchEval::Simd);
+    const EvalEngine eval(guard, threads);
     std::vector<moga::Evaluation> out(genomes.size());
     eval.evaluate_batch(genomes, out);
     expect_evaluations_eq(out, reference);
@@ -194,12 +229,9 @@ TEST(BatchEvalKnob, DedupCacheComposesWithLanes) {
   auto genomes = make_genomes(problem, 32);
   for (std::size_t i = 1; i < genomes.size(); i += 3) genomes[i] = genomes[0];
 
-  const EvalEngine scalar(problem, 1);
-  std::vector<moga::Evaluation> reference(genomes.size());
-  scalar.evaluate_batch(genomes, reference);
+  const auto reference = scalar_reference(problem, genomes);
 
-  EvalEngine cached(problem, 1, nullptr, /*cache_capacity=*/64);
-  cached.set_batch_eval(BatchEval::Simd);
+  const EvalEngine cached(problem, 1, nullptr, /*cache_capacity=*/64);
   std::vector<moga::Evaluation> out(genomes.size());
   cached.evaluate_batch(genomes, out);
   expect_evaluations_eq(out, reference);

@@ -113,7 +113,7 @@ TEST(EvalEngine, EvaluateMembersFillsEvaluationsInPlace) {
   for (std::size_t i = 0; i < genomes.size(); ++i) members[i].genes = genomes[i];
 
   const EvalEngine eval(*problem, 4);
-  eval.evaluate_members(members);
+  eval.evaluate_members_as(*problem, 0, members);
   for (std::size_t i = 0; i < members.size(); ++i) {
     EXPECT_EQ(members[i].eval.objectives, problem->evaluated(genomes[i]).objectives);
   }

@@ -50,7 +50,7 @@ TEST(Watchdog, CancelsAStuckBatchAndPenalizesAsTimeouts) {
 
   const EvalEngine eval(guarded, 2, nullptr, 0, EvalWatchdog{&token, 0.05});
   auto members = make_members(4);
-  eval.evaluate_members(members);
+  eval.evaluate_members_as(eval.problem(), 0, members);
 
   EXPECT_GE(eval.watchdog_fires(), 1u);
   const auto report = guarded.report();
@@ -69,7 +69,7 @@ TEST(Watchdog, GenerousDeadlineNeverFiresAndNeverChangesResults) {
   auto problem = zdt1();
   const EvalEngine plain(*problem, 2);
   auto expected = make_members(6);
-  plain.evaluate_members(expected);
+  plain.evaluate_members_as(plain.problem(), 0, expected);
 
   CancelToken token;
   robust::GuardPolicy policy;
@@ -77,7 +77,7 @@ TEST(Watchdog, GenerousDeadlineNeverFiresAndNeverChangesResults) {
   guarded.set_cancel_token(&token);
   const EvalEngine watched(guarded, 2, nullptr, 0, EvalWatchdog{&token, 1000.0});
   auto members = make_members(6);
-  watched.evaluate_members(members);
+  watched.evaluate_members_as(watched.problem(), 0, members);
 
   EXPECT_EQ(watched.watchdog_fires(), 0u);
   EXPECT_EQ(guarded.report().total_faults(), 0u);

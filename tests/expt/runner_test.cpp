@@ -93,35 +93,33 @@ TEST(Runner, DeterministicOutcome) {
 }
 
 TEST(Runner, BatchEvalModesProduceIdenticalFronts) {
-  // --batch-eval is a pure execution knob: every algorithm must emit the
-  // exact same front (bit-level doubles) whether batches run through the
-  // scalar oracle, the SIMD lane kernels, or the Auto heuristic.
+  // batch_eval is a pure execution setting: every algorithm must emit the
+  // exact same front (bit-level doubles) whether batches run per genome
+  // (Scalar, the reference) or as lane groups across genomes (Auto).
   const problems::IntegratorProblem problem(easy_spec());
   for (Algo algo : {Algo::TPG, Algo::SACGA, Algo::MESACGA, Algo::WeightedSum}) {
     RunSettings scalar = smoke_settings(algo);
     scalar.batch_eval = engine::BatchEval::Scalar;
     const auto reference = run(problem, scalar);
-    for (const engine::BatchEval mode :
-         {engine::BatchEval::Simd, engine::BatchEval::Auto}) {
-      RunSettings s = smoke_settings(algo);
-      s.batch_eval = mode;
-      const auto outcome = run(problem, s);
-      EXPECT_EQ(outcome.evaluations, reference.evaluations) << algo_name(algo);
-      ASSERT_EQ(outcome.front.size(), reference.front.size()) << algo_name(algo);
-      for (std::size_t i = 0; i < reference.front.size(); ++i) {
-        EXPECT_EQ(outcome.front[i].power_w, reference.front[i].power_w)
-            << algo_name(algo) << " item " << i;
-        EXPECT_EQ(outcome.front[i].cload_f, reference.front[i].cload_f)
-            << algo_name(algo) << " item " << i;
-      }
+    RunSettings s = smoke_settings(algo);
+    s.batch_eval = engine::BatchEval::Auto;
+    const auto outcome = run(problem, s);
+    EXPECT_EQ(outcome.evaluations, reference.evaluations) << algo_name(algo);
+    ASSERT_EQ(outcome.front.size(), reference.front.size()) << algo_name(algo);
+    for (std::size_t i = 0; i < reference.front.size(); ++i) {
+      EXPECT_EQ(outcome.front[i].power_w, reference.front[i].power_w)
+          << algo_name(algo) << " item " << i;
+      EXPECT_EQ(outcome.front[i].cload_f, reference.front[i].cload_f)
+          << algo_name(algo) << " item " << i;
     }
   }
 }
 
 TEST(Runner, CheckpointBytesIdenticalAcrossBatchEvalModes) {
-  // The knob is excluded from the config digest, so a checkpoint written
+  // The setting is excluded from the config digest, so a checkpoint written
   // under one mode must be byte-identical to one written under the other —
-  // the property that lets a run checkpoint under SIMD and resume scalar.
+  // the property that lets a run checkpoint in one mode and resume in the
+  // other.
   const problems::IntegratorProblem problem(easy_spec());
   const auto checkpoint_bytes = [&](engine::BatchEval mode, const std::string& tag) {
     RunSettings s = smoke_settings(Algo::SACGA);
@@ -136,13 +134,13 @@ TEST(Runner, CheckpointBytesIdenticalAcrossBatchEvalModes) {
     return buffer.str();
   };
   const std::string scalar = checkpoint_bytes(engine::BatchEval::Scalar, "scalar");
-  const std::string simd = checkpoint_bytes(engine::BatchEval::Simd, "simd");
+  const std::string lanes = checkpoint_bytes(engine::BatchEval::Auto, "auto");
   ASSERT_FALSE(scalar.empty());
-  EXPECT_EQ(scalar, simd);
+  EXPECT_EQ(scalar, lanes);
 }
 
 TEST(Runner, CrossModeCheckpointResumeMatchesUninterruptedRun) {
-  // Interrupt a scalar-mode run mid-flight, resume it in SIMD mode: the
+  // Interrupt a scalar-mode run mid-flight, resume it in Auto mode: the
   // finished front must equal an uninterrupted run of either mode.
   const problems::IntegratorProblem problem(easy_spec());
   const auto full = run(problem, smoke_settings(Algo::SACGA));
@@ -161,7 +159,7 @@ TEST(Runner, CrossModeCheckpointResumeMatchesUninterruptedRun) {
   EXPECT_TRUE(partial.interrupted);
 
   RunSettings resuming = smoke_settings(Algo::SACGA);
-  resuming.batch_eval = engine::BatchEval::Simd;
+  resuming.batch_eval = engine::BatchEval::Auto;
   resuming.checkpoint_path = interrupted.checkpoint_path;
   resuming.checkpoint_every = 8;
   resuming.resume = ResumeMode::Auto;

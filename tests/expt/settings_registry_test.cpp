@@ -77,9 +77,7 @@ std::map<std::string, Perturb> perturbations() {
   p["threads"] = [](RunSettings& s) { s.threads = 3; };
   p["eval_cache"] = [](RunSettings& s) { s.eval_cache = 64; };
   p["engine"] = [](RunSettings& s) { s.engine.context = 42; };
-  p["batch_eval"] = [](RunSettings& s) {
-    s.batch_eval = engine::BatchEval::Simd;
-  };
+  p["batch_eval"] = [](RunSettings& s) { s.batch_eval = engine::BatchEval::Scalar; };
   p["shards"] = [](RunSettings& s) { s.shards = 2; };
   p["shard_dir"] = [](RunSettings& s) { s.shard_dir = "spool.d"; };
   p["checkpoint_path"] = [](RunSettings& s) { s.checkpoint_path = "c.ckpt"; };

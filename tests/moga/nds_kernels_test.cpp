@@ -1,5 +1,5 @@
 // Golden-equivalence suite for the SoA ranking kernels (docs/performance.md):
-// the sweep (m == 2) and bitset (m > 2) kernels must produce exactly the
+// the sweep kernel (m == 2) and the flat crowding must produce exactly the
 // same ranks, fronts and crowding distances as the legacy pairwise
 // reference on randomized populations covering the awkward cases —
 // constraint-violation ties, exact duplicate objective vectors, subset
@@ -81,40 +81,6 @@ TEST(NdsKernels, SweepMatchesLegacyOnRandomBiObjectivePopulations) {
           return scratch.sweep_sort(p, idx);
         },
         "sweep");
-  }
-}
-
-TEST(NdsKernels, BitsetMatchesLegacyOnRandomManyObjectivePopulations) {
-  std::mt19937 rng(987654321);
-  RankingScratch scratch;
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t n = 1 + rng() % 40;
-    const std::size_t arity = 3 + rng() % 2;  // m = 3 or 4
-    const double infeasible = (trial % 4) * 0.25;
-    const Population pop = random_population(rng, n, arity, infeasible);
-    expect_matches_legacy(
-        pop, all_indices(n),
-        [&scratch](Population& p, std::span<const std::size_t> idx) {
-          return scratch.bitset_sort(p, idx);
-        },
-        "bitset");
-  }
-}
-
-TEST(NdsKernels, BitsetMatchesLegacyOnBiObjectivePopulations) {
-  // The bitset kernel accepts any arity >= 2; cross-check it against both
-  // the reference and (implicitly) the sweep on the m == 2 shape.
-  std::mt19937 rng(424242);
-  RankingScratch scratch;
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t n = 1 + rng() % 32;
-    const Population pop = random_population(rng, n, 2, 0.3);
-    expect_matches_legacy(
-        pop, all_indices(n),
-        [&scratch](Population& p, std::span<const std::size_t> idx) {
-          return scratch.bitset_sort(p, idx);
-        },
-        "bitset(m=2)");
   }
 }
 

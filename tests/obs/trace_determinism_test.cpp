@@ -162,7 +162,7 @@ TEST(TraceContent, EvalTraceNamesTheEngineTheRunEvaluatesOn) {
     if (ev == "\"env\"") {
       ++envs;
       EXPECT_EQ(field(line, "threads"), workers);
-      EXPECT_EQ(field(line, "batch_eval"), "\"scalar\"");
+      EXPECT_EQ(field(line, "batch_eval"), "\"auto\"");  // the engine's default
       EXPECT_EQ(field(line, "lane_isa"),
                 "\"" + std::string(circuit::to_string(circuit::lane_isa())) + "\"");
     } else if (ev == "\"batch\"") {
