@@ -11,10 +11,11 @@
 //                  [--eval-deadline S]
 //                  [--trace FILE] [--trace-level off|gen|eval]
 //       Run one design-space exploration and print the Pareto surface.
-//       --threads T evaluates each generation's offspring on T worker
-//       threads (0 = one per hardware thread); results are bit-identical
-//       for every thread count. Each batch runs as SIMD lane groups across
-//       genomes, bit-exact against the scalar oracle (docs/performance.md).
+//       --threads T evaluates each generation's offspring on T threads,
+//       the calling one included (0 = one per hardware thread); results
+//       are bit-identical for every thread count. Each batch runs as SIMD
+//       lane groups across genomes, bit-exact against the scalar oracle
+//       (docs/performance.md).
 //       With --checkpoint, the run state is snapshotted every N generations
 //       (keeping the last --checkpoint-keep rotated slots) so an
 //       interrupted exploration can continue with --resume (strict: the
@@ -101,7 +102,7 @@ int usage() {
       "           [--trace FILE] [--trace-level off|gen|eval]\n"
       "           [--islands N] [--migration-interval N] [--shards N]\n"
       "           [--shard-dir DIR] [--shard-mode process|thread]\n"
-      "           (--threads: evaluation workers; 0 = hardware count;\n"
+      "           (--threads: evaluation threads; 0 = hardware count;\n"
       "            results are identical for every thread count;\n"
       "            --resume auto: recover from the newest verifiable\n"
       "            checkpoint slot, or start fresh; Ctrl-C snapshots and\n"
@@ -129,26 +130,11 @@ int usage() {
 }
 
 scint::Spec spec_from_arg(const ArgParser& args) {
-  const std::string which = args.get("spec", "chosen");
-  if (which == "chosen") return problems::chosen_spec();
-  const auto suite = problems::spec_suite();
-  const std::size_t index = std::strtoul(which.c_str(), nullptr, 10);
-  ANADEX_REQUIRE(index >= 1 && index <= suite.size(),
-                 "--spec must be 'chosen' or 1.." + std::to_string(suite.size()));
-  return suite[index - 1];
+  return expt::parse_spec(args.get("spec", "chosen"));
 }
 
 expt::Algo algo_from_arg(const ArgParser& args) {
-  const std::string name = args.get("algo", "mesacga");
-  if (name == "tpg" || name == "nsga2") return expt::Algo::TPG;
-  if (name == "localonly") return expt::Algo::LocalOnly;
-  if (name == "sacga") return expt::Algo::SACGA;
-  if (name == "mesacga") return expt::Algo::MESACGA;
-  if (name == "island") return expt::Algo::Island;
-  if (name == "wsum") return expt::Algo::WeightedSum;
-  if (name == "spea2") return expt::Algo::SPEA2;
-  ANADEX_REQUIRE(false, "unknown --algo '" + name + "'");
-  return expt::Algo::TPG;
+  return expt::parse_algo(args.get("algo", "mesacga"));
 }
 
 void warn_unused(const ArgParser& args) {
@@ -190,23 +176,20 @@ int cmd_explore(const ArgParser& args) {
   expt::RunSettings settings;
   settings.spec = spec_from_arg(args);
   settings.algo = algo_from_arg(args);
-  settings.generations = static_cast<std::size_t>(args.get_int("generations", 800));
-  settings.population = static_cast<std::size_t>(args.get_int("population", 100));
-  settings.partitions = static_cast<std::size_t>(args.get_int("partitions", 8));
-  settings.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  settings.islands = static_cast<std::size_t>(
-      args.get_int("islands", static_cast<std::int64_t>(settings.islands)));
-  settings.migration_interval = static_cast<std::size_t>(args.get_int(
-      "migration-interval", static_cast<std::int64_t>(settings.migration_interval)));
-  settings.shards = static_cast<std::size_t>(args.get_int("shards", 1));
+  settings.generations = args.get_count("generations", 800);
+  settings.population = args.get_count("population", 100);
+  settings.partitions = args.get_count("partitions", 8);
+  settings.seed = args.get_count("seed", 1);
+  settings.islands = args.get_count("islands", settings.islands);
+  settings.migration_interval =
+      args.get_count("migration-interval", settings.migration_interval);
+  settings.shards = args.get_count("shards", 1);
   settings.shard_dir = args.get("shard-dir", "");
-  settings.threads = static_cast<std::size_t>(args.get_int("threads", 1));
+  settings.threads = args.get_count("threads", 1);
   settings.record_history = args.get_flag("history");
   settings.checkpoint_path = args.get("checkpoint", "");
-  settings.checkpoint_every =
-      static_cast<std::size_t>(args.get_int("checkpoint-every", 50));
-  settings.checkpoint_keep =
-      static_cast<std::size_t>(args.get_int("checkpoint-keep", 1));
+  settings.checkpoint_every = args.get_count("checkpoint-every", 50);
+  settings.checkpoint_keep = args.get_count("checkpoint-keep", 1);
   if (args.has("resume")) {
     // Bare `--resume` is strict (the file must exist and verify);
     // `--resume auto` recovers from the newest good rotated slot, or starts
@@ -312,23 +295,20 @@ int cmd_shard_worker(const ArgParser& args) {
   expt::RunSettings settings;
   settings.spec = spec_from_arg(args);
   settings.algo = expt::Algo::Island;
-  settings.generations = static_cast<std::size_t>(args.get_int("generations", 800));
-  settings.population = static_cast<std::size_t>(args.get_int("population", 100));
-  settings.partitions = static_cast<std::size_t>(args.get_int("partitions", 8));
-  settings.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  settings.islands = static_cast<std::size_t>(
-      args.get_int("islands", static_cast<std::int64_t>(settings.islands)));
-  settings.migration_interval = static_cast<std::size_t>(args.get_int(
-      "migration-interval", static_cast<std::int64_t>(settings.migration_interval)));
-  settings.shards = static_cast<std::size_t>(args.get_int("shards", 1));
-  settings.threads = static_cast<std::size_t>(args.get_int("threads", 1));
-  settings.eval_cache = static_cast<std::size_t>(args.get_int("eval-cache", 0));
+  settings.generations = args.get_count("generations", 800);
+  settings.population = args.get_count("population", 100);
+  settings.partitions = args.get_count("partitions", 8);
+  settings.seed = args.get_count("seed", 1);
+  settings.islands = args.get_count("islands", settings.islands);
+  settings.migration_interval =
+      args.get_count("migration-interval", settings.migration_interval);
+  settings.shards = args.get_count("shards", 1);
+  settings.threads = args.get_count("threads", 1);
+  settings.eval_cache = args.get_count("eval-cache", 0);
   settings.batch_eval = engine::parse_batch_eval(
       args.get("batch-eval", engine::to_string(settings.batch_eval)));
-  settings.checkpoint_every =
-      static_cast<std::size_t>(args.get_int("checkpoint-every", 50));
-  settings.checkpoint_keep =
-      static_cast<std::size_t>(args.get_int("checkpoint-keep", 1));
+  settings.checkpoint_every = args.get_count("checkpoint-every", 50);
+  settings.checkpoint_keep = args.get_count("checkpoint-keep", 1);
   if (args.has("eval-deadline")) {
     settings.eval_deadline_s = args.get_double("eval-deadline", 0.0);
   }
@@ -336,7 +316,7 @@ int cmd_shard_worker(const ArgParser& args) {
   shard::WorkerContext ctx;
   ctx.topology =
       shard::Topology::make(settings.islands, settings.shards, settings.seed);
-  ctx.shard = static_cast<std::size_t>(args.get_int("shard", 0));
+  ctx.shard = args.get_count("shard", 0);
   ctx.dir = std::filesystem::path(args.get("dir", ""));
   ctx.settings = std::move(settings);
   warn_unused(args);
@@ -384,11 +364,13 @@ int cmd_evaluate(const ArgParser& args) {
 }
 
 int cmd_simulate(const ArgParser& args) {
-  const int order = static_cast<int>(args.get_int("order", 4));
+  const std::size_t stages = args.get_count("order", 4);
+  ANADEX_REQUIRE(stages >= 1 && stages <= 4, "--order must be in 1..4");
+  const int order = static_cast<int>(stages);
   sysdes::SimulationConfig config;
   config.osr = args.get_double("osr", 128.0);
   config.input_amplitude = args.get_double("amplitude", 0.5);
-  config.samples = static_cast<std::size_t>(args.get_int("samples", 1 << 14));
+  config.samples = args.get_count("samples", 1 << 14);
   warn_unused(args);
 
   const auto result = sysdes::simulate_modulator(sysdes::ideal_stages(order), config);
@@ -406,9 +388,9 @@ int cmd_simulate(const ArgParser& args) {
 int cmd_compare(const ArgParser& args) {
   expt::RunSettings settings;
   settings.spec = spec_from_arg(args);
-  settings.generations = static_cast<std::size_t>(args.get_int("generations", 800));
-  settings.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  settings.threads = static_cast<std::size_t>(args.get_int("threads", 1));
+  settings.generations = args.get_count("generations", 800);
+  settings.seed = args.get_count("seed", 1);
+  settings.threads = args.get_count("threads", 1);
   warn_unused(args);
 
   const problems::IntegratorProblem problem(settings.spec);
@@ -439,16 +421,15 @@ int cmd_serve(const ArgParser& args) {
   ANADEX_REQUIRE(!spool_arg.empty(), "serve needs --spool DIR");
   const fs::path spool(spool_arg);
   fs::create_directories(spool);
-  const std::size_t threads = static_cast<std::size_t>(args.get_int("threads", 0));
-  const std::size_t cache_capacity =
-      static_cast<std::size_t>(args.get_int("eval-cache", 1 << 16));
-  const std::size_t slice = static_cast<std::size_t>(args.get_int("slice", 25));
-  const long long poll_ms = args.get_int("poll-ms", 200);
+  const std::size_t threads = args.get_count("threads", 0);
+  const std::size_t cache_capacity = args.get_count("eval-cache", 1 << 16);
+  const std::size_t slice = args.get_count("slice", 25);
+  const std::size_t poll_ms = args.get_count("poll-ms", 200);
   const bool drain = args.get_flag("drain");
   const auto trace_level =
       obs::trace_level_from_string(args.get("trace-level", "gen"));
   warn_unused(args);
-  ANADEX_REQUIRE(poll_ms >= 0, "--poll-ms must be >= 0");
+  ANADEX_REQUIRE(poll_ms <= 60'000, "--poll-ms must be at most 60000 (one minute)");
 
   // SIGINT/SIGTERM raise the shutdown token: the current slice stops at its
   // next generation barrier, every preempted job writes its state once

@@ -311,11 +311,11 @@ int main(int argc, char** argv) {
                 row.distinct, row.cache_hits, row.bit_identical ? "yes" : "NO");
   }
 
-  // --- robustness-layer overhead (watchdog + retry backoff, no faults) ---
+  // --- robustness-layer overhead (guard + armed deadline, no faults) ---
   // The crash-safety layer must be free when nothing goes wrong: a serial
   // engine with the eval watchdog armed (generous deadline) driving a
-  // backoff-enabled GuardedProblem must stay within 1% of the plain
-  // engine's throughput, bit-identically. Checkpoint rotation is off the
+  // GuardedProblem that polls the same token must stay within 1% of the
+  // plain engine's throughput, bit-identically. Checkpoint rotation is off the
   // evaluation hot path entirely (one rename chain per snapshot cadence),
   // so the eval-side knobs are the whole overhead story. Best-of-N timing
   // damps scheduler noise on shared CI runners.
@@ -329,11 +329,10 @@ int main(int argc, char** argv) {
   std::vector<moga::Evaluation> plain_out(batch_size);
 
   CancelToken watchdog_token;
-  robust::GuardPolicy backoff_policy;
-  backoff_policy.backoff_spin_base = 4096;
   robust::GuardedProblem guarded(
       std::shared_ptr<const moga::Problem>(std::shared_ptr<void>(), &problem),
-      backoff_policy);
+      robust::GuardPolicy{});
+  guarded.set_cancel_token(&watchdog_token);
   const engine::EvalEngine robust_serial(
       guarded, 1, nullptr, 0, engine::EvalWatchdog{&watchdog_token, 3600.0});
   std::vector<moga::Evaluation> robust_out(batch_size);

@@ -130,11 +130,16 @@ void analyze_with(const LaneKernels<W>& kernels,
   double m6w[W], m6l[W], m7w[W], m7l[W], ibias[W];
   for (std::size_t k = 0; k < W; ++k) {
     const OpAmpDesign& d = designs[k];
-    m1w[k] = d.m1.w; m1l[k] = d.m1.l;
-    m3w[k] = d.m3.w; m3l[k] = d.m3.l;
-    m5w[k] = d.m5.w; m5l[k] = d.m5.l;
-    m6w[k] = d.m6.w; m6l[k] = d.m6.l;
-    m7w[k] = d.m7.w; m7l[k] = d.m7.l;
+    m1w[k] = d.m1.w;
+    m1l[k] = d.m1.l;
+    m3w[k] = d.m3.w;
+    m3l[k] = d.m3.l;
+    m5w[k] = d.m5.w;
+    m5l[k] = d.m5.l;
+    m6w[k] = d.m6.w;
+    m6l[k] = d.m6.l;
+    m7w[k] = d.m7.w;
+    m7l[k] = d.m7.l;
     ibias[k] = d.ibias;
   }
   double zeros[W];

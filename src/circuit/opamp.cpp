@@ -62,9 +62,11 @@ OpAmpAnalysis analyze(const Process& process, const OpAmpDesign& design,
   double i5 = 0.0;
   double vgs1 = 0.6;
   for (int pass = 0; pass < 4; ++pass) {
-    i5 = device::drain_current(nmos, design.m5, Bias{out.vgs_ref, std::max(v_tail, 1e-3), 0.0});
+    i5 = device::drain_current(nmos, design.m5,
+                               Bias{out.vgs_ref, std::max(v_tail, 1e-3), 0.0});
     i5 = std::max(i5, kTiny);
-    vgs1 = device::vgs_for_current(nmos, design.m1, 0.5 * i5, /*vds=*/0.5, /*vsb=*/v_tail, vdd);
+    vgs1 = device::vgs_for_current(nmos, design.m1, 0.5 * i5, /*vds=*/0.5, /*vsb=*/v_tail,
+                                   vdd);
     v_tail = std::clamp(context.vicm - vgs1, 1e-3, vdd);
   }
   out.i5 = i5;

@@ -1,10 +1,23 @@
 #include "common/args.hpp"
 
-#include <cstdlib>
-
 #include "common/check.hpp"
+#include "common/textio.hpp"
 
 namespace anadex {
+
+namespace {
+
+/// `parse(text)`, with a rejection message that names option `key`.
+template <typename Parse>
+auto parse_option(const std::string& key, const std::string& text, Parse parse) {
+  try {
+    return parse(text);
+  } catch (const PreconditionError& error) {
+    throw PreconditionError("option '--" + key + "': " + error.what());
+  }
+}
+
+}  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -33,36 +46,27 @@ bool ArgParser::has(const std::string& key) const {
   return true;
 }
 
-std::string ArgParser::get(const std::string& key, const std::string& fallback) const {
+const std::string* ArgParser::value_of(const std::string& key) const {
   const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
+  if (it == options_.end()) return nullptr;
   touched_[key] = true;
   ANADEX_REQUIRE(!it->second.empty(), "option '--" + key + "' needs a value");
-  return it->second;
+  return &it->second;
 }
 
-std::int64_t ArgParser::get_int(const std::string& key, std::int64_t fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  touched_[key] = true;
-  ANADEX_REQUIRE(!it->second.empty(), "option '--" + key + "' needs a value");
-  char* end = nullptr;
-  const long long value = std::strtoll(it->second.c_str(), &end, 10);
-  ANADEX_REQUIRE(end != nullptr && *end == '\0',
-                 "option '--" + key + "' value '" + it->second + "' is not an integer");
-  return value;
+std::string ArgParser::get(const std::string& key, const std::string& fallback) const {
+  const std::string* text = value_of(key);
+  return text != nullptr ? *text : fallback;
+}
+
+std::uint64_t ArgParser::get_count(const std::string& key, std::uint64_t fallback) const {
+  const std::string* text = value_of(key);
+  return text != nullptr ? parse_option(key, *text, textio::parse_u64) : fallback;
 }
 
 double ArgParser::get_double(const std::string& key, double fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  touched_[key] = true;
-  ANADEX_REQUIRE(!it->second.empty(), "option '--" + key + "' needs a value");
-  char* end = nullptr;
-  const double value = std::strtod(it->second.c_str(), &end);
-  ANADEX_REQUIRE(end != nullptr && *end == '\0',
-                 "option '--" + key + "' value '" + it->second + "' is not a number");
-  return value;
+  const std::string* text = value_of(key);
+  return text != nullptr ? parse_option(key, *text, textio::parse_double) : fallback;
 }
 
 bool ArgParser::get_flag(const std::string& key) const {

@@ -21,10 +21,13 @@ class ArgParser {
 
   bool has(const std::string& key) const;
 
-  /// Typed getters with defaults; throw PreconditionError when the stored
-  /// value does not parse as the requested type.
+  /// Typed getters with defaults; throw PreconditionError, naming the
+  /// option, when the stored value does not parse as the requested type.
   std::string get(const std::string& key, const std::string& fallback) const;
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// A count or a seed: digits only, within 64 bits (textio::parse_u64), so
+  /// a negative value is rejected instead of wrapped.
+  std::uint64_t get_count(const std::string& key, std::uint64_t fallback) const;
+  /// Decimal or the hex-float form of textio::exact (textio::parse_double).
   double get_double(const std::string& key, double fallback) const;
   bool get_flag(const std::string& key) const;
 
@@ -32,6 +35,10 @@ class ArgParser {
   std::vector<std::string> unused() const;
 
  private:
+  /// The value given for `key` (marking it used), or null when absent.
+  /// Throws PreconditionError when the option is a bare flag.
+  const std::string* value_of(const std::string& key) const;
+
   std::map<std::string, std::string> options_;  // "" marks a bare flag
   std::vector<std::string> positionals_;
   mutable std::map<std::string, bool> touched_;

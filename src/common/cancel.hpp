@@ -1,14 +1,17 @@
 // Cooperative cancellation for long-running work.
 //
-// A CancelToken is a single atomic flag shared between a requester (a
-// signal handler, the evaluation watchdog, a service scheduler) and any
-// number of pollers (evolver generation barriers, slow evaluators). It
+// A CancelToken is a flag shared between a requester (a signal handler, a
+// service scheduler) and any number of pollers (evolver generation
+// barriers, slow evaluators). It can also carry a deadline, which the
+// evaluation engine arms around each batch: the token then reads as
+// requested once the deadline has passed, with no thread raising it. It
 // lives in common/ — below engine and robust in the link graph — so both
 // layers can share one token type without a dependency cycle.
 //
 // request() is a lock-free atomic store and therefore async-signal-safe:
 // the shutdown handler in robust/shutdown.cpp calls it directly from a
-// SIGINT/SIGTERM context. Polling costs one relaxed-ish atomic load.
+// SIGINT/SIGTERM context. Polling costs one atomic load, plus a
+// steady_clock read while a deadline is armed.
 //
 // Cancellation never participates in any RNG or result computation — a
 // token only decides WHEN a run stops, and the stopped run's snapshot is a
@@ -17,6 +20,8 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <limits>
 #include <stdexcept>
 
 namespace anadex {
@@ -30,10 +35,13 @@ class OperationCancelled : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// One-way (until reset) cancellation flag. All members are safe to call
-/// concurrently; request() is additionally async-signal-safe.
+/// One-way (until reset) cancellation flag with an optional deadline. All
+/// members are safe to call concurrently; request() is additionally
+/// async-signal-safe.
 class CancelToken {
  public:
+  using Clock = std::chrono::steady_clock;
+
   CancelToken() = default;
   CancelToken(const CancelToken&) = delete;
   CancelToken& operator=(const CancelToken&) = delete;
@@ -41,14 +49,31 @@ class CancelToken {
   /// Raises the flag. Safe from signal handlers and any thread.
   void request() noexcept { requested_.store(true, std::memory_order_release); }
 
-  /// True once request() has been called (and until reset()).
-  bool requested() const noexcept { return requested_.load(std::memory_order_acquire); }
+  /// Makes the token read as requested from `deadline` on.
+  void arm(Clock::time_point deadline) noexcept {
+    deadline_.store(deadline.time_since_epoch().count(), std::memory_order_release);
+  }
 
-  /// Lowers the flag again (the eval watchdog reuses one token per batch).
-  void reset() noexcept { requested_.store(false, std::memory_order_release); }
+  /// True once request() has been called or the armed deadline has passed
+  /// (and until reset()).
+  bool requested() const noexcept {
+    if (requested_.load(std::memory_order_acquire)) return true;
+    const Clock::rep deadline = deadline_.load(std::memory_order_acquire);
+    return deadline != kUnarmed && Clock::now().time_since_epoch().count() >= deadline;
+  }
+
+  /// Lowers the flag and disarms the deadline (the engine reuses one token
+  /// per batch).
+  void reset() noexcept {
+    deadline_.store(kUnarmed, std::memory_order_release);
+    requested_.store(false, std::memory_order_release);
+  }
 
  private:
+  static constexpr Clock::rep kUnarmed = std::numeric_limits<Clock::rep>::max();
+
   std::atomic<bool> requested_{false};
+  std::atomic<Clock::rep> deadline_{kUnarmed};
 };
 
 }  // namespace anadex

@@ -1,5 +1,6 @@
 #include "common/textio.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <istream>
@@ -25,12 +26,14 @@ double parse_double(const std::string& token) {
 }
 
 std::uint64_t parse_u64(const std::string& token) {
-  ANADEX_REQUIRE(!token.empty() && token.front() != '-',
+  ANADEX_REQUIRE(!token.empty() && token.front() >= '0' && token.front() <= '9',
                  "'" + token + "' is not a valid non-negative integer");
   char* end = nullptr;
+  errno = 0;
   const std::uint64_t value = std::strtoull(token.c_str(), &end, 10);
   ANADEX_REQUIRE(end == token.c_str() + token.size(),
                  "'" + token + "' is not a valid non-negative integer");
+  ANADEX_REQUIRE(errno != ERANGE, "'" + token + "' does not fit in 64 bits");
   return value;
 }
 

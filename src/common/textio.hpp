@@ -22,7 +22,8 @@ std::string exact(double value);
 /// Throws PreconditionError unless the whole token is consumed.
 double parse_double(const std::string& token);
 
-/// Parses a non-negative integer. Throws PreconditionError on junk.
+/// Parses a non-negative decimal integer (digits only). Throws
+/// PreconditionError on junk or a value past 64 bits.
 std::uint64_t parse_u64(const std::string& token);
 
 /// Line-oriented reader for the library's versioned text formats: skips

@@ -346,7 +346,8 @@ inline void drain_current_lanes(const ParamLanes<W>& p, const double* w, const d
                                 const double* vgs, const double* vds, const double* vsb,
                                 double* id_out) {
   lanes_detail::dispatch_n_exp(p.shared, [&](auto n) {
-    lanes_detail::drain_current_lanes_impl<W, decltype(n)::value>(p, w, l, vgs, vds, vsb, id_out);
+    lanes_detail::drain_current_lanes_impl<W, decltype(n)::value>(p, w, l, vgs, vds, vsb,
+                                                                  id_out);
   });
 }
 

@@ -72,7 +72,8 @@ double drain_current(const DeviceParams& params, const Geometry& geometry, const
   return sat_at_edge * shape * (1.0 + lambda * bias.vds);
 }
 
-OperatingPoint solve_op(const DeviceParams& params, const Geometry& geometry, const Bias& bias) {
+OperatingPoint solve_op(const DeviceParams& params, const Geometry& geometry,
+                        const Bias& bias) {
   OperatingPoint op;
   op.vt = threshold(params, bias.vsb);
   op.vov = bias.vgs - op.vt;

@@ -58,7 +58,8 @@ double drain_current(const DeviceParams& params, const Geometry& geometry, const
 /// Full operating point: region, current and analytic gm / gds.
 /// gm and gds are exact derivatives of the saturation-region model; in
 /// triode they are computed from the triode expression.
-OperatingPoint solve_op(const DeviceParams& params, const Geometry& geometry, const Bias& bias);
+OperatingPoint solve_op(const DeviceParams& params, const Geometry& geometry,
+                        const Bias& bias);
 
 /// Inverse model: the VGS that conducts drain current `id` at the given
 /// VDS/VSB (saturation assumed). Solved by bisection on the monotone

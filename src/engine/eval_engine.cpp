@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -37,31 +38,22 @@ EvalEngine::EvalEngine(const moga::Problem& problem, std::size_t threads,
 EvalEngine::EvalEngine(std::size_t threads, obs::EventSink* sink,
                        std::size_t cache_capacity, EvalWatchdog watchdog)
     : threads_(resolve_threads(threads)), sink_(sink), watchdog_(watchdog) {
+  ANADEX_REQUIRE(threads <= kMaxThreads,
+                 "EvalEngine: threads must be <= " + std::to_string(kMaxThreads));
   if (cache_capacity > 0) cache_ = std::make_unique<EvalCache>(cache_capacity);
   if (watchdog_.token != nullptr) {
     ANADEX_REQUIRE(
         std::isfinite(watchdog_.deadline_s) && watchdog_.deadline_s > 0.0,
         "watchdog deadline must be finite and positive");
   }
-  if (watchdog_.enabled()) {
-    watchdog_thread_ = std::thread([this] { watchdog_loop(); });
-  }
-  if (threads_ <= 1) return;  // serial path: no pool
-  workers_.reserve(threads_);
-  for (std::size_t i = 0; i < threads_; ++i) {
+  // The submitting thread is the first evaluation thread of every batch.
+  workers_.reserve(threads_ - 1);
+  for (std::size_t i = 1; i < threads_; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 EvalEngine::~EvalEngine() {
-  if (watchdog_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(watch_mu_);
-      watch_stop_ = true;
-    }
-    watch_cv_.notify_all();
-    watchdog_thread_.join();
-  }
   if (!workers_.empty()) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -222,15 +214,6 @@ void EvalEngine::submit(const moga::Problem& problem, std::uint64_t context,
   if (error) std::rethrow_exception(error);
 }
 
-void EvalEngine::run_serial(std::span<const Item> items) const {
-  // Same contract as the pooled path: attempt every item (lane group by
-  // lane group), collect the lowest-index failure in first_error_, so
-  // thread count never changes which items got their results written.
-  for (std::size_t start = 0; start < items.size(); start += lane_width_) {
-    process_group(start, std::min(lane_width_, items.size() - start));
-  }
-}
-
 void EvalEngine::process_item(std::size_t index) const {
   const Item& item = items_[index];
   Clock::time_point item_start;
@@ -245,7 +228,7 @@ void EvalEngine::process_item(std::size_t index) const {
     }
   }
   if (trace_timing_) {
-    // Each slot is written by the single worker that claimed the item, so
+    // Each slot is written by the single thread that claimed the item, so
     // this is race-free without further synchronization.
     const Clock::time_point done = Clock::now();
     trace_start_s_[index] = seconds_between(trace_submit_, item_start);
@@ -296,24 +279,24 @@ void EvalEngine::process_group(std::size_t start, std::size_t count) const {
   for (std::size_t i = 0; i < count; ++i) process_item(start + i);
 }
 
-void EvalEngine::emit_batch_event(std::size_t size, double wall_seconds,
-                                  std::size_t workers_used) const {
+void EvalEngine::emit_batch_event(std::size_t size, double wall_seconds) const {
   obs::MinMeanMax latency;
   double queue_wait = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < size; ++i) {
     latency.add(trace_dur_s_[i]);
     queue_wait = std::min(queue_wait, trace_start_s_[i]);
   }
-  // Utilization: fraction of the pool's wall-clock capacity spent inside
-  // Problem::evaluate. 1.0 = perfectly busy workers.
-  const double capacity = wall_seconds * static_cast<double>(workers_used);
+  // Utilization: fraction of the engine's wall-clock capacity (all its
+  // threads, the caller included) spent inside Problem::evaluate. 1.0 =
+  // every thread busy throughout.
+  const double capacity = wall_seconds * static_cast<double>(threads_);
   const double utilization = capacity > 0.0 ? latency.sum / capacity : 0.0;
 
   const obs::Field fields[] = {obs::u64("batch", trace_batches_),
                                obs::u64("size", size),
                                obs::u64("requested", trace_requested_),
                                obs::u64("cache_hits", trace_cache_hits_),
-                               obs::u64("workers", workers_used),
+                               obs::u64("workers", threads_),
                                obs::f64("wall_s", wall_seconds),
                                obs::f64("queue_wait_s", queue_wait),
                                obs::f64("lat_min_s", latency.min),
@@ -325,124 +308,42 @@ void EvalEngine::emit_batch_event(std::size_t size, double wall_seconds,
   trace_items_ += size;
 }
 
-void EvalEngine::arm_watchdog() const {
-  std::lock_guard<std::mutex> lock(watch_mu_);
-  watch_deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                       std::chrono::duration<double>(watchdog_.deadline_s));
-  watch_armed_ = true;
-  watch_fired_ = false;
-  watch_cv_.notify_all();
-}
-
-bool EvalEngine::disarm_watchdog() const {
-  bool fired = false;
-  {
-    std::lock_guard<std::mutex> lock(watch_mu_);
-    fired = watch_fired_;
-    watch_armed_ = false;
-    watch_fired_ = false;
-  }
-  watch_cv_.notify_all();
-  if (fired) {
-    // The batch has fully drained (every in-flight item observed the raised
-    // token or finished), so clear it: the next batch must start clean.
-    watchdog_.token->reset();
-    ++watchdog_fires_;
-  }
-  return fired;
-}
-
-void EvalEngine::watchdog_loop() {
-  std::unique_lock<std::mutex> lock(watch_mu_);
-  for (;;) {
-    watch_cv_.wait(lock, [&] { return watch_stop_ || watch_armed_; });
-    if (watch_stop_) return;
-    const bool disarmed = watch_cv_.wait_until(
-        lock, watch_deadline_, [&] { return watch_stop_ || !watch_armed_; });
-    if (watch_stop_) return;
-    if (disarmed) continue;  // batch finished inside the deadline
-    // Deadline expired with the batch still running: presume a stuck
-    // evaluation and raise the cooperative cancellation token. The batch
-    // thread observes `watch_fired_` at disarm time.
-    watchdog_.token->request();
-    watch_fired_ = true;
-    watch_armed_ = false;
-  }
-}
-
 void EvalEngine::run_batch(std::span<const Item> items) const {
   if (items.empty()) return;
-  // Lifetime busy-time accounting for the serve stats snapshot: counts the
-  // submitting thread's wall time inside dispatch on every exit path.
-  // Measurement only — it never feeds back into results.
-  struct BusyScope {
-    const EvalEngine* engine;
-    Clock::time_point start;
-    explicit BusyScope(const EvalEngine* e) : engine(e), start(Clock::now()) {}
-    ~BusyScope() {
-      engine->busy_seconds_ += seconds_between(start, Clock::now());
-      ++engine->busy_batches_;
-    }
-    BusyScope(const BusyScope&) = delete;
-    BusyScope& operator=(const BusyScope&) = delete;
-  };
-  const BusyScope busy_scope(this);
-  // Arms the watchdog for the lifetime of this batch; the destructor
-  // disarms on every exit path, including a rethrown batch exception.
-  struct WatchdogScope {
-    const EvalEngine* engine;
-    explicit WatchdogScope(const EvalEngine* e) : engine(e) {
-      if (engine != nullptr) engine->arm_watchdog();
-    }
-    ~WatchdogScope() {
-      if (engine != nullptr) engine->disarm_watchdog();
-    }
-    WatchdogScope(const WatchdogScope&) = delete;
-    WatchdogScope& operator=(const WatchdogScope&) = delete;
-  };
-  const WatchdogScope watchdog_scope(watchdog_.enabled() ? this : nullptr);
-
+  const Clock::time_point start = Clock::now();
   const bool tracing = sink_ != nullptr && sink_->enabled(obs::TraceLevel::Eval);
   if (tracing) {
     trace_start_s_.assign(items.size(), 0.0);
     trace_dur_s_.assign(items.size(), 0.0);
-    trace_submit_ = Clock::now();
+    trace_submit_ = start;
   }
   trace_timing_ = tracing;
 
   // Lane discovery, per batch (a hub's batch_problem_ changes per batch).
-  // Groups are narrowed below the preferred width until every worker of
-  // the pool has one: a 32-item batch on four workers runs as four groups
-  // of 8, not two of 16 with two workers idle. Any width gives the same
-  // bits (LaneEvaluator contract). A group of one item runs per item in
-  // process_group, so a batch no larger than the pool stays per item.
+  // Groups are narrowed below the preferred width until every thread of
+  // the engine has one: a 32-item batch on four threads runs as four
+  // groups of 8, not two of 16 with two threads idle. Any width gives the
+  // same bits (LaneEvaluator contract). A group of one item runs per item
+  // in process_group, so a batch no larger than the engine stays per item.
   lanes_ = nullptr;
   lane_width_ = 1;
   if (batch_eval_ == BatchEval::Auto) {
     if (const auto* lanes = dynamic_cast<const LaneEvaluator*>(batch_problem_);
         lanes != nullptr && lanes->lanes_supported()) {
-      const std::size_t workers = std::max<std::size_t>(1, workers_.size());
       lanes_ = lanes;
-      lane_width_ = std::max<std::size_t>(
-          1, std::min(lanes->preferred_lane_width(), (items.size() + workers - 1) / workers));
+      const std::size_t per_thread = (items.size() + threads_ - 1) / threads_;
+      lane_width_ =
+          std::max<std::size_t>(1, std::min(lanes->preferred_lane_width(), per_thread));
     }
   }
 
-  if (workers_.empty() || items.size() == 1) {
-    items_ = items.data();
-    item_count_ = items.size();
-    first_error_ = nullptr;
-    first_error_index_ = std::numeric_limits<std::size_t>::max();
-    run_serial(items);
-    items_ = nullptr;
-    item_count_ = 0;
-    const std::exception_ptr error = std::exchange(first_error_, nullptr);
-    if (tracing) {
-      trace_timing_ = false;
-      emit_batch_event(items.size(), seconds_between(trace_submit_, Clock::now()), 1);
-    }
-    if (error) std::rethrow_exception(error);
-    return;
+  // The deadline runs from here until the batch has drained; the token
+  // reads as requested once it passes, which is what the guard and
+  // cooperative evaluators poll. Capped at 1e9 s (~32 years) so that a
+  // huge deadline cannot overflow the clock and fire at once.
+  if (watchdog_.enabled()) {
+    const std::chrono::duration<double> budget(std::min(watchdog_.deadline_s, 1e9));
+    watchdog_.token->arm(start + std::chrono::duration_cast<Clock::duration>(budget));
   }
 
   std::unique_lock<std::mutex> lock(mu_);
@@ -455,7 +356,11 @@ void EvalEngine::run_batch(std::span<const Item> items) const {
   ++batch_seq_;
   batch_open_ = true;
   lock.unlock();
-  work_ready_.notify_all();
+  // A batch of one group is the caller's alone; waking the pool for it
+  // would only add hand-off latency.
+  if (items.size() > lane_width_) work_ready_.notify_all();
+
+  claim_groups();
 
   lock.lock();
   batch_done_.wait(lock, [&] {
@@ -479,12 +384,40 @@ void EvalEngine::run_batch(std::span<const Item> items) const {
   const std::exception_ptr error = std::exchange(first_error_, nullptr);
   lock.unlock();
 
+  if (watchdog_.enabled()) {
+    // The batch has drained (every in-flight item observed the passed
+    // deadline or finished), so clear the token: the next batch must start
+    // clean.
+    if (watchdog_.token->requested()) ++watchdog_fires_;
+    watchdog_.token->reset();
+  }
+  // Lifetime busy-time accounting for the serve stats snapshot. Measurement
+  // only — it never feeds back into results.
+  const Clock::time_point done = Clock::now();
+  busy_seconds_ += seconds_between(start, done);
+  ++busy_batches_;
   if (tracing) {
     trace_timing_ = false;
-    emit_batch_event(items.size(), seconds_between(trace_submit_, Clock::now()),
-                     threads_);
+    emit_batch_event(items.size(), seconds_between(start, done));
   }
   if (error) std::rethrow_exception(error);
+}
+
+void EvalEngine::claim_groups() const {
+  // Stable while this batch runs. Claims are whole lane groups (width 1 =
+  // the classic per-item claim) so a LaneEvaluator sees contiguous,
+  // deterministic groups no matter which thread lands on them; results are
+  // still written by item index, keeping the bit-identity contract across
+  // thread counts and both batch_eval modes.
+  const std::size_t count = item_count_;
+  const std::size_t width = lane_width_;
+  for (;;) {
+    const std::size_t start = next_item_.fetch_add(width, std::memory_order_relaxed);
+    if (start >= count) break;
+    const std::size_t group = std::min(width, count - start);
+    process_group(start, group);
+    completed_.fetch_add(group, std::memory_order_acq_rel);
+  }
 }
 
 void EvalEngine::worker_loop() {
@@ -499,25 +432,12 @@ void EvalEngine::worker_loop() {
       ++active_;
     }
 
-    // Stable while this batch runs. Workers claim whole lane groups (width
-    // 1 = the classic per-item claim) so a LaneEvaluator sees contiguous,
-    // deterministic groups no matter which worker lands on them; results
-    // are still written by item index, keeping the bit-identity contract
-    // across thread counts and both batch_eval modes.
-    const std::size_t count = item_count_;
-    const std::size_t width = lane_width_;
-    for (;;) {
-      const std::size_t start = next_item_.fetch_add(width, std::memory_order_relaxed);
-      if (start >= count) break;
-      const std::size_t group = std::min(width, count - start);
-      process_group(start, group);
-      completed_.fetch_add(group, std::memory_order_acq_rel);
-    }
+    claim_groups();
 
     {
       std::lock_guard<std::mutex> lock(mu_);
       --active_;
-      if (active_ == 0 && completed_.load(std::memory_order_acquire) == count) {
+      if (active_ == 0 && completed_.load(std::memory_order_acquire) == item_count_) {
         batch_done_.notify_all();
       }
     }

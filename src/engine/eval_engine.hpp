@@ -10,8 +10,8 @@
 // Determinism contract: results are written by ITEM INDEX, never by
 // completion order, and a Problem must be deterministic per genome, so a
 // batch produces bit-identical Evaluations for every thread count —
-// threads = 1 (serial, the pre-engine path), threads = N, and threads = 0
-// (one worker per hardware thread) all agree. If items throw, the
+// threads = 1 (the calling thread alone), threads = N, and threads = 0
+// (one per hardware thread) all agree. If items throw, the
 // exception of the lowest-index faulting item is rethrown once the batch
 // has been fully attempted, again independent of scheduling. See
 // docs/engine.md.
@@ -40,12 +40,17 @@ namespace anadex::engine {
 /// One candidate genome, as submitted for evaluation.
 using Genome = std::vector<double>;
 
+/// Most evaluation threads one engine runs, the calling thread included
+/// (`threads` = 0, one per hardware thread, is resolved without this cap).
+inline constexpr std::size_t kMaxThreads = 256;
+
 /// Stuck-evaluation watchdog configuration for an EvalEngine. When enabled,
-/// a dedicated watchdog thread arms a wall-clock deadline around every batch
-/// and raises `token` if the batch outlives it. Cooperative evaluators (and
-/// GuardedProblem, which fail-fast-penalizes once the token is up) then
-/// drain the rest of the batch in microseconds, returning control to the
-/// generation barrier where the run can snapshot.
+/// the engine arms a wall-clock deadline on `token` around every batch, so
+/// the token reads as requested once the batch outlives it; no thread is
+/// involved. Cooperative evaluators (and GuardedProblem, which
+/// fail-fast-penalizes once the token is up) then drain the rest of the
+/// batch in microseconds, returning control to the generation barrier
+/// where the run can snapshot.
 ///
 /// This is a pure EXECUTION knob, like `threads` and `eval_cache`: it is
 /// excluded from the checkpoint config digest, and when the deadline never
@@ -54,8 +59,8 @@ using Genome = std::vector<double>;
 /// a fired watchdog trades determinism for liveness, and the run's fault
 /// report says so (`timeouts` counter, `fault` trace event).
 struct EvalWatchdog {
-  /// Raised (non-owning) when a batch exceeds the deadline; reset by the
-  /// engine once that batch has drained. Must outlive the engine.
+  /// Armed (non-owning) around every batch and reset by the engine once
+  /// that batch has drained. Must outlive the engine.
   CancelToken* token = nullptr;
   /// Per-batch wall-clock budget. A null `token` disables the watchdog;
   /// with a token set, the engine requires this to be finite and positive.
@@ -64,10 +69,11 @@ struct EvalWatchdog {
   bool enabled() const { return token != nullptr && deadline_s > 0.0; }
 };
 
-/// Batch evaluator over a moga::Problem with an owned fixed-size worker
-/// pool. The problem must be safe to evaluate from several threads
-/// concurrently (the library's problems are stateless; GuardedProblem
-/// synchronizes its fault accounting internally).
+/// Batch evaluator over a moga::Problem: the submitting thread works each
+/// batch beside an owned fixed-size pool of threads - 1 workers. The
+/// problem must be safe to evaluate from several threads concurrently (the
+/// library's problems are stateless; GuardedProblem synchronizes its fault
+/// accounting internally).
 ///
 /// An engine is either BOUND (constructed over one problem — the classic
 /// per-run shape) or a HUB (constructed without a problem): a hub serves
@@ -78,8 +84,9 @@ struct EvalWatchdog {
 /// one in-flight batch at a time.
 class EvalEngine final {
  public:
-  /// `threads`: 1 = serial on the calling thread (no pool is spawned),
-  /// 0 = one worker per hardware thread, N = exactly N workers.
+  /// `threads`: N = the calling thread plus N - 1 pool workers (1 = the
+  /// calling thread alone, no pool), 0 = one per hardware thread; at most
+  /// kMaxThreads, checked before any thread starts.
   /// `sink` (non-owning, may be nullptr): when enabled at TraceLevel::Eval,
   /// every batch records a timed "batch" event — size, submit-to-done wall
   /// time, queue wait, per-item latency min/mean/max and worker utilization
@@ -92,8 +99,8 @@ class EvalEngine final {
   /// last N distinct evaluations. Because a Problem is a pure function of
   /// the genome, every result is bit-identical with the cache on or off
   /// (see docs/performance.md).
-  /// `watchdog`: stuck-evaluation deadline; disabled by default (no thread
-  /// is spawned and batches pay nothing).
+  /// `watchdog`: stuck-evaluation deadline; disabled by default (batches
+  /// then pay nothing).
   explicit EvalEngine(const moga::Problem& problem, std::size_t threads = 1,
                       obs::EventSink* sink = nullptr, std::size_t cache_capacity = 0,
                       EvalWatchdog watchdog = {});
@@ -116,7 +123,8 @@ class EvalEngine final {
 
   const moga::Problem& problem() const;
 
-  /// Effective worker count (after resolving 0 to the hardware).
+  /// Effective thread count, the calling thread included (after resolving
+  /// 0 to the hardware).
   std::size_t threads() const { return threads_; }
 
   /// LRU entry capacity the engine was built with (0 = memoization off).
@@ -155,7 +163,7 @@ class EvalEngine final {
   /// cache absorbed any of them. On a hub this aggregates every client.
   const EvalStats& stats() const { return stats_; }
 
-  /// Batches dispatched over the engine's lifetime (serial and pooled).
+  /// Batches dispatched over the engine's lifetime.
   std::uint64_t busy_batches() const { return busy_batches_; }
 
   /// Wall-clock seconds the engine spent inside batch dispatch, summed
@@ -202,26 +210,22 @@ class EvalEngine final {
   /// batch's stats deltas alongside the engine totals.
   void submit(const moga::Problem& problem, std::uint64_t context,
               std::span<const Item> items, EvalStats* client) const;
+  /// Evaluates `items` on the calling thread and the pool, then rethrows
+  /// the lowest-index item's exception, if any.
   void run_batch(std::span<const Item> items) const;
-  void run_serial(std::span<const Item> items) const;
-  /// Starts the per-batch deadline clock (watchdog enabled only).
-  void arm_watchdog() const;
-  /// Stops the clock; if the deadline fired, clears the token (the batch
-  /// has drained — the next batch starts with a clean slate) and counts
-  /// the fire. Returns whether it fired.
-  bool disarm_watchdog() const;
-  void watchdog_loop();
   /// Evaluates items_[index], recording the lowest-index exception.
   void process_item(std::size_t index) const;
   /// Evaluates the `count` items starting at items_[start]: through the
   /// batch's LaneEvaluator when one is active (falling back to per-item
   /// scalar evaluation if the group throws), item-by-item otherwise.
   void process_group(std::size_t start, std::size_t count) const;
+  /// Claims lane groups of the current batch until none is left; the
+  /// submitting thread and every pool worker run this same loop.
+  void claim_groups() const;
   void worker_loop();
   /// Folds the per-item clocks of the finished batch into one timed
   /// "batch" event (eval level only).
-  void emit_batch_event(std::size_t size, double wall_seconds,
-                        std::size_t workers_used) const;
+  void emit_batch_event(std::size_t size, double wall_seconds) const;
 
   const moga::Problem* problem_ = nullptr;  ///< null on a hub engine
   std::size_t threads_ = 1;
@@ -237,12 +241,13 @@ class EvalEngine final {
   mutable std::uint64_t busy_batches_ = 0;
   mutable double busy_seconds_ = 0.0;
 
-  // Batch hand-off state. The caller publishes a batch under `mu_` and
-  // waits on `batch_done_`; workers claim items via the atomic cursor and
-  // write results by index. Workers join only while `batch_open_`, and the
-  // caller closes the batch under `mu_` once active_ == 0, so
-  // `item_count_`/`items_` only change while every worker is idle and
-  // workers may read them lock-free during a batch.
+  // Batch hand-off state. The caller publishes a batch under `mu_`, claims
+  // groups itself, then waits on `batch_done_` for the workers still
+  // inside; everyone claims items via the atomic cursor and writes results
+  // by index. Workers join only while `batch_open_`, and the caller closes
+  // the batch under `mu_` once active_ == 0, so `item_count_`/`items_`
+  // only change while every worker is idle and workers may read them
+  // lock-free during a batch.
   mutable std::mutex mu_;
   mutable std::condition_variable work_ready_;
   mutable std::condition_variable batch_done_;
@@ -261,7 +266,7 @@ class EvalEngine final {
   mutable std::size_t item_count_ = 0;
   mutable std::atomic<std::size_t> next_item_{0};
   mutable std::atomic<std::size_t> completed_{0};
-  mutable std::size_t active_ = 0;        ///< workers inside the current batch
+  mutable std::size_t active_ = 0;        ///< pool workers inside the current batch
   mutable std::uint64_t batch_seq_ = 0;   ///< bumped per published batch
   mutable bool batch_open_ = false;       ///< workers may still join the batch
   mutable std::exception_ptr first_error_;
@@ -271,26 +276,18 @@ class EvalEngine final {
   mutable std::atomic<std::uint64_t> lane_items_{0};
   mutable std::atomic<std::uint64_t> lane_fallbacks_{0};
   bool stopping_ = false;
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> workers_;  ///< threads_ - 1 pool workers
 
-  // Watchdog state. The batch thread arms/disarms under `watch_mu_`; the
-  // watchdog thread waits on `watch_cv_` until armed, then until the
-  // deadline or a disarm. Firing is just token->request() — async-safe,
-  // lock-free for the workers, observed cooperatively by the evaluator.
+  // The watchdog is its token: run_batch arms the deadline on it and, once
+  // the batch has drained, counts a passed deadline and resets it. The
+  // fire count is touched only by the submitting thread.
   EvalWatchdog watchdog_;
-  mutable std::mutex watch_mu_;
-  mutable std::condition_variable watch_cv_;
-  mutable std::chrono::steady_clock::time_point watch_deadline_;
-  mutable bool watch_armed_ = false;
-  mutable bool watch_fired_ = false;
-  bool watch_stop_ = false;
   mutable std::size_t watchdog_fires_ = 0;
-  std::thread watchdog_thread_;
 
   // Batch timing (populated only when sink_ is enabled at eval level).
   // `trace_timing_` and the per-item clock arrays follow the same
   // publication discipline as `items_`: written under `mu_` before a batch
-  // is released, each slot then written by exactly one worker (by item
+  // is released, each slot then written by exactly one claimant (by item
   // index), read by the caller only after the batch barrier.
   mutable bool trace_timing_ = false;
   mutable std::chrono::steady_clock::time_point trace_submit_;

@@ -20,8 +20,9 @@ Series front_series(const std::string& title, const std::vector<FrontSample>& fr
   return series;
 }
 
-void print_fronts(std::ostream& os,
-                  const std::vector<std::pair<std::string, std::vector<FrontSample>>>& fronts) {
+void print_fronts(
+    std::ostream& os,
+    const std::vector<std::pair<std::string, std::vector<FrontSample>>>& fronts) {
   static constexpr char kGlyphs[] = {'*', 'o', '+', 'x', '#', '@'};
   std::vector<PlotSeries> plot;
   for (std::size_t i = 0; i < fronts.size(); ++i) {

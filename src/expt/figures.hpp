@@ -28,6 +28,7 @@ void print_outcome_summary(std::ostream& os, const std::string& label,
 
 /// Prints a "paper vs measured" comparison line for EXPERIMENTS.md capture.
 void print_paper_vs_measured(std::ostream& os, const std::string& what,
-                             const std::string& paper_value, const std::string& measured_value);
+                             const std::string& paper_value,
+                             const std::string& measured_value);
 
 }  // namespace anadex::expt

@@ -1,12 +1,14 @@
 #include "expt/runner.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -19,6 +21,7 @@
 #include "moga/scalarize.hpp"
 #include "moga/spea2.hpp"
 #include "obs/jsonl_writer.hpp"
+#include "problems/spec_suite.hpp"
 #include "robust/checkpoint.hpp"
 #include "sacga/island.hpp"
 #include "sacga/local_only.hpp"
@@ -69,8 +72,7 @@ class DigestWriter {
   }
   void put(const char* tag, const robust::GuardPolicy& g) {
     // Retry/penalty policy shapes the objective values a faulty evaluation
-    // leaves in the population. backoff_spin_base is excluded: it only
-    // paces the retry loop (a pure execution knob inside the policy).
+    // leaves in the population.
     key(tag) << g.max_retries << ',' << textio::exact(g.perturbation) << ','
              << textio::exact(g.penalty_objective) << ','
              << textio::exact(g.penalty_violation) << ',' << g.seed;
@@ -150,9 +152,10 @@ void validate_run_settings(const RunSettings& s) {
   ANADEX_REQUIRE(s.population >= 4 && s.population % 2 == 0,
                  "run settings: population must be even and >= 4");
   ANADEX_REQUIRE(s.generations >= 1, "run settings: generations must be >= 1");
-  // 0 means "one worker per hardware thread"; an explicit count is capped
-  // so a typo (e.g. threads=10000) cannot exhaust the process thread limit.
-  ANADEX_REQUIRE(s.threads <= 256, "run settings: threads must be in [0, 256] (0 = auto)");
+  // 0 means "one per hardware thread"; an explicit count is capped so a
+  // typo (e.g. threads=10000) cannot exhaust the process thread limit.
+  ANADEX_REQUIRE(s.threads <= engine::kMaxThreads,
+                 "run settings: threads must be <= " + std::to_string(engine::kMaxThreads));
   if (s.record_history) {
     ANADEX_REQUIRE(s.history_stride > 0,
                    "run settings: history_stride must be > 0 when record_history is set");
@@ -232,15 +235,13 @@ void validate_run_settings(const RunSettings& s) {
                  "run settings: guard penalty_objective must be finite (not NaN/inf)");
   ANADEX_REQUIRE(std::isfinite(s.guard.penalty_violation),
                  "run settings: guard penalty_violation must be finite (not NaN/inf)");
-  ANADEX_REQUIRE(s.guard.backoff_spin_base <= (std::size_t{1} << 30),
-                 "run settings: guard backoff_spin_base must be <= 2^30");
   if (s.eval_deadline_s.has_value()) {
     ANADEX_REQUIRE(std::isfinite(*s.eval_deadline_s) && *s.eval_deadline_s > 0.0,
                    "run settings: eval deadline must be finite and > 0 seconds");
-    // A per-run deadline thread belongs to the engine that owns the worker
-    // pool; on a shared hub the deadline is the hub's to enforce, so Job
-    // admission rejects the request rather than arm a watchdog that no
-    // engine of this run would ever raise.
+    // A per-run deadline is armed by the engine the run owns; on a shared
+    // hub the deadline is the hub's to enforce, so Job admission rejects
+    // the request rather than set a deadline that no engine of this run
+    // would ever arm.
     ANADEX_REQUIRE(!s.engine.shared(),
                    "run settings: eval_deadline_s is unsupported with a shared "
                    "engine handle (configure the deadline on the hub)");
@@ -268,6 +269,36 @@ std::string algo_name(Algo algo) {
   }
   ANADEX_ASSERT(false, "unknown algorithm");
   return {};
+}
+
+Algo parse_algo(std::string_view name, std::string_view context) {
+  static constexpr std::pair<std::string_view, Algo> kNames[] = {
+      {"tpg", Algo::TPG},          {"nsga2", Algo::TPG},       {"localonly", Algo::LocalOnly},
+      {"sacga", Algo::SACGA},      {"mesacga", Algo::MESACGA}, {"island", Algo::Island},
+      {"wsum", Algo::WeightedSum}, {"spea2", Algo::SPEA2}};
+  for (const auto& [known, algo] : kNames) {
+    if (known == name) return algo;
+  }
+  ANADEX_REQUIRE(false, std::string(context) + "unknown algo \"" + std::string(name) +
+                            "\" (expected tpg|nsga2|localonly|sacga|mesacga|island|"
+                            "wsum|spea2)");
+  return Algo::TPG;
+}
+
+scint::Spec parse_spec(std::string_view name, std::string_view context) {
+  if (name == "chosen") return problems::chosen_spec();
+  const std::vector<scint::Spec> suite = problems::spec_suite();
+  std::size_t index = 0;
+  const char* last = name.data() + name.size();
+  const auto [end, error] = std::from_chars(name.data(), last, index);
+  ANADEX_REQUIRE(error == std::errc{} && end == last,
+                 std::string(context) +
+                     "\"spec\" must be \"chosen\" or a suite index, not \"" +
+                     std::string(name) + "\"");
+  ANADEX_REQUIRE(index >= 1 && index <= suite.size(),
+                 std::string(context) + "\"spec\" index must be in 1.." +
+                     std::to_string(suite.size()));
+  return suite[index - 1];
 }
 
 std::vector<FrontSample> to_front_samples(const moga::Population& front) {
@@ -339,8 +370,8 @@ std::shared_ptr<const moga::Problem> with_chaos(std::shared_ptr<const moga::Prob
 // Every evaluation flows through the fault guard, which keeps the problem
 // alive. Clean evaluators pass through untouched, so guarded runs are
 // bit-identical to unguarded ones. The watchdog token is shared between the
-// engine's deadline thread (raiser), the guard (fail-fast poller) and the
-// injector's cooperative slow-spin path.
+// engine (which arms its deadline around each batch), the guard (fail-fast
+// poller) and the injector's cooperative slow-spin path.
 EvalStack::EvalStack(std::shared_ptr<const moga::Problem> problem, const RunSettings& s,
                      obs::EventSink* sink)
     : guarded_(with_chaos(std::move(problem), s,
@@ -506,7 +537,9 @@ class RunBase : public LiveRun {
     outcome.resumed_from_path = resumed_from_path_;
     outcome.front = to_front_samples(result.front);
     std::sort(outcome.front.begin(), outcome.front.end(),
-              [](const FrontSample& a, const FrontSample& b) { return a.cload_f < b.cload_f; });
+              [](const FrontSample& a, const FrontSample& b) {
+                return a.cload_f < b.cload_f;
+              });
     outcome.front_area = front_area_of(outcome.front);
     outcome.hypervolume_norm = hypervolume_of(outcome.front);
     std::vector<double> loads;
@@ -565,7 +598,9 @@ class RunBase : public LiveRun {
   void write_checkpoint(robust::Checkpoint cp) {
     cp.meta = meta_;
     cp.faults = stack_->guarded().report();
-    for (const auto& h : history_) cp.history.push_back({h.generation, h.front_area, h.front_size});
+    for (const auto& h : history_) {
+      cp.history.push_back({h.generation, h.front_area, h.front_size});
+    }
     robust::write_checkpoint_file(settings_.checkpoint_path, cp, cp_options_);
   }
 
@@ -674,8 +709,8 @@ std::unique_ptr<LiveRun> start_run(std::shared_ptr<const problems::IntegratorPro
       params.partitions = settings.partitions;
       params.axis_hi = problems::kLoadMax;
       params.generations = settings.generations;
-      return std::make_unique<EvolverRun<sacga::LocalOnly>>(std::move(problem), settings, params,
-                                                            &robust::Checkpoint::local_only);
+      return std::make_unique<EvolverRun<sacga::LocalOnly>>(
+          std::move(problem), settings, params, &robust::Checkpoint::local_only);
     }
     case Algo::SACGA: {
       sacga::SacgaParams params;
@@ -710,8 +745,9 @@ std::unique_ptr<LiveRun> start_run(std::shared_ptr<const problems::IntegratorPro
                                                           &robust::Checkpoint::mesacga);
     }
     case Algo::Island:
-      return std::make_unique<EvolverRun<sacga::IslandGa>>(
-          std::move(problem), settings, island_params_from(settings), &robust::Checkpoint::island);
+      return std::make_unique<EvolverRun<sacga::IslandGa>>(std::move(problem), settings,
+                                                           island_params_from(settings),
+                                                           &robust::Checkpoint::island);
     case Algo::WeightedSum:
       return std::make_unique<WeightedSumRun>(std::move(problem), settings);
     case Algo::SPEA2: {

@@ -30,6 +30,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -54,6 +55,13 @@ namespace anadex::expt {
 enum class Algo { TPG, LocalOnly, SACGA, MESACGA, Island, WeightedSum, SPEA2 };
 
 std::string algo_name(Algo algo);
+
+/// The names `--algo`/`--spec` and a serve request's "algo"/"spec" take:
+/// tpg (alias nsga2), localonly, sacga, mesacga, island, wsum, spea2; and
+/// "chosen" or a suite index 1..20 in plain decimal digits. Anything else
+/// throws PreconditionError, its message prefixed with `context`.
+Algo parse_algo(std::string_view name, std::string_view context = "");
+scint::Spec parse_spec(std::string_view name, std::string_view context = "");
 
 /// How a run treats an existing checkpoint chain at `checkpoint_path`.
 enum class ResumeMode {
@@ -97,8 +105,9 @@ struct RunSettings {
   // How the run's engine executes (detail::EvalStack builds it). Pure
   // execution knobs: fronts, evaluation counts, traces and checkpoints are
   // byte-identical for every value (docs/engine.md, docs/performance.md).
-  /// Evaluation worker threads: 1 = serial on the calling thread, 0 = one
-  /// per hardware thread, N = exactly N workers.
+  /// Evaluation threads: N = the calling thread plus N - 1 pool workers
+  /// (1 = the calling thread alone), 0 = one per hardware thread; at most
+  /// engine::kMaxThreads.
   std::size_t threads = 1;
   /// Evaluation memoization: 0 = off, N = dedup duplicate genomes within
   /// each batch and keep the last N distinct evaluations in an LRU. No CLI
@@ -177,8 +186,8 @@ struct RunSettings {
 
 /// Validates `settings` with ANADEX_REQUIRE (population even and >= 4,
 /// partition/island counts sane, MESACGA schedule non-empty + strictly
-/// decreasing + ending in 1, thread count within [0, 256], history stride
-/// positive when history is recorded, checkpoint flags consistent, guard
+/// decreasing + ending in 1, thread count within [0, kMaxThreads], history
+/// stride positive when history is recorded, checkpoint flags consistent, guard
 /// policy fields finite and in range, watchdog deadline positive when set,
 /// watchdog absent when a shared engine handle is set). Job admission runs
 /// this FIRST — an invalid request is rejected before it can occupy a
@@ -282,7 +291,7 @@ class EvalStack {
   const engine::EngineHandle& handle() const { return handle_; }
 
  private:
-  CancelToken cancel_;  ///< raised by the engine's watchdog
+  CancelToken cancel_;  ///< carries the engine's per-batch watchdog deadline
   robust::GuardedProblem guarded_;
   std::optional<engine::EvalEngine> owned_;  ///< engaged unless settings.engine is set
   engine::EngineHandle handle_;

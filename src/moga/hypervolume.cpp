@@ -85,7 +85,8 @@ double hypervolume(const FrontPoints& front, std::span<const double> reference) 
     for (double v : p) ok = ok && std::isfinite(v);
     if (ok) finite.push_back(p);
   }
-  return hv_recursive(std::move(finite), std::vector<double>(reference.begin(), reference.end()));
+  return hv_recursive(std::move(finite),
+                      std::vector<double>(reference.begin(), reference.end()));
 }
 
 double hypervolume_2d(std::span<const double> points, std::span<const double> reference) {

@@ -108,8 +108,8 @@ double spacing(const FrontPoints& front_in) {
       nearest[i] = std::min(nearest[i], euclidean(front[i], front[j]));
     }
   }
-  const double mean =
-      std::accumulate(nearest.begin(), nearest.end(), 0.0) / static_cast<double>(nearest.size());
+  const double mean = std::accumulate(nearest.begin(), nearest.end(), 0.0) /
+                      static_cast<double>(nearest.size());
   double var = 0.0;
   for (double d : nearest) var += (d - mean) * (d - mean);
   return std::sqrt(var / static_cast<double>(nearest.size()));

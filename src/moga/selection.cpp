@@ -4,7 +4,8 @@
 
 namespace anadex::moga {
 
-std::size_t binary_tournament(const Population& population, const Preference& prefer, Rng& rng) {
+std::size_t binary_tournament(const Population& population, const Preference& prefer,
+                              Rng& rng) {
   ANADEX_REQUIRE(!population.empty(), "tournament over an empty population");
   const std::size_t a = rng.uniform_index(population.size());
   if (population.size() == 1) return a;

@@ -17,7 +17,8 @@ using Preference = std::function<bool(const Individual&, const Individual&)>;
 
 /// Binary tournament over `population`: draws two distinct random members
 /// and returns the index of the preferred one (random pick on a tie).
-std::size_t binary_tournament(const Population& population, const Preference& prefer, Rng& rng);
+std::size_t binary_tournament(const Population& population, const Preference& prefer,
+                              Rng& rng);
 
 /// Produces `count` offspring genomes: repeated binary tournaments pick
 /// parent pairs from `population`, then SBX + polynomial mutation are

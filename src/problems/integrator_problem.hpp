@@ -71,7 +71,8 @@ class IntegratorProblem final : public moga::Problem, public engine::LaneEvaluat
   const scint::IntegratorContext& context() const { return context_; }
 
   /// Typical-corner performance of a design (for reporting / examples).
-  scint::IntegratorPerformance typical_performance(const scint::IntegratorDesign& design) const;
+  scint::IntegratorPerformance typical_performance(
+      const scint::IntegratorDesign& design) const;
 
   /// Monte-Carlo robustness of a design against this problem's spec.
   double design_robustness(const scint::IntegratorDesign& design) const;

@@ -115,7 +115,8 @@ void save_checkpoint_body(std::ostream& os, const Checkpoint& cp) {
 
   os << "history " << cp.history.size() << '\n';
   for (const HistorySample& s : cp.history) {
-    os << "sample " << s.generation << ' ' << exact(s.front_area) << ' ' << s.front_size << '\n';
+    os << "sample " << s.generation << ' ' << exact(s.front_area) << ' ' << s.front_size
+       << '\n';
   }
 
   os << "state " << kind << '\n';

@@ -11,7 +11,8 @@
 //   anadex-checkpoint v2
 //   meta <algo> <seed> <population> <generations>
 //   config <opaque one-line digest, compared for equality on resume>
-//   faults <exceptions> <non_finite> <wrong_arity> <timeouts> <retries> <recovered> <penalized>
+//   faults <exceptions> <non_finite> <wrong_arity> <timeouts> <retries> <recovered>
+//          <penalized>
 //   fault-genes <n> [g1 g2 ...]
 //   fault-message [text...]
 //   history <count>

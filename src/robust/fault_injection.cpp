@@ -21,8 +21,12 @@ FaultInjectingProblem::FaultInjectingProblem(std::shared_ptr<const moga::Problem
 std::string FaultInjectingProblem::name() const { return inner_->name() + "+faults"; }
 std::size_t FaultInjectingProblem::num_variables() const { return inner_->num_variables(); }
 std::size_t FaultInjectingProblem::num_objectives() const { return inner_->num_objectives(); }
-std::size_t FaultInjectingProblem::num_constraints() const { return inner_->num_constraints(); }
-std::vector<moga::VariableBound> FaultInjectingProblem::bounds() const { return inner_->bounds(); }
+std::size_t FaultInjectingProblem::num_constraints() const {
+  return inner_->num_constraints();
+}
+std::vector<moga::VariableBound> FaultInjectingProblem::bounds() const {
+  return inner_->bounds();
+}
 
 FaultInjectionCounters FaultInjectingProblem::counters() const {
   return {evaluations_.load(std::memory_order_relaxed),
@@ -30,7 +34,8 @@ FaultInjectionCounters FaultInjectingProblem::counters() const {
           slow_.load(std::memory_order_relaxed)};
 }
 
-void FaultInjectingProblem::evaluate(std::span<const double> genes, moga::Evaluation& out) const {
+void FaultInjectingProblem::evaluate(std::span<const double> genes,
+                                     moga::Evaluation& out) const {
   evaluations_.fetch_add(1, std::memory_order_relaxed);
   Rng rng(hash_genes(genes, config_.seed));
 

@@ -48,7 +48,8 @@ struct FaultInjectionCounters {
 /// Problem contract) and makes injected runs reproducible and resumable.
 class FaultInjectingProblem final : public moga::Problem {
  public:
-  FaultInjectingProblem(std::shared_ptr<const moga::Problem> inner, FaultInjectionConfig config);
+  FaultInjectingProblem(std::shared_ptr<const moga::Problem> inner,
+                        FaultInjectionConfig config);
 
   std::string name() const override;
   std::size_t num_variables() const override;

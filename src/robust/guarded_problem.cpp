@@ -14,8 +14,9 @@ GuardedProblem::GuardedProblem(std::shared_ptr<const moga::Problem> inner, Guard
     : inner_(std::move(inner)), policy_(policy) {
   ANADEX_REQUIRE(inner_ != nullptr, "GuardedProblem needs an inner problem");
   ANADEX_REQUIRE(policy_.perturbation >= 0.0, "guard perturbation must be >= 0");
-  ANADEX_REQUIRE(std::isfinite(policy_.penalty_objective) && std::isfinite(policy_.penalty_violation),
-                 "guard penalty values must be finite");
+  ANADEX_REQUIRE(
+      std::isfinite(policy_.penalty_objective) && std::isfinite(policy_.penalty_violation),
+      "guard penalty values must be finite");
   bounds_ = inner_->bounds();
   ANADEX_REQUIRE(bounds_.size() == inner_->num_variables(),
                  "inner problem bounds()/num_variables() disagree");
@@ -115,19 +116,6 @@ void GuardedProblem::evaluate(std::span<const double> genes, moga::Evaluation& o
       // A raised watchdog token also cuts the retry ladder short: retrying
       // against a stuck evaluator only prolongs the stall.
       if (cancel_ != nullptr && cancel_->requested()) break;
-      if (policy_.backoff_spin_base > 0) {
-        // Deterministic exponential backoff: base << (attempt-1) iterations
-        // plus a genome-derived jitter (at most one extra base unit). A
-        // busy-spin rather than a sleep keeps wall clocks out of the
-        // decision path entirely — the wait is a pure function of
-        // (genes, attempt), preserving bit-reproducibility.
-        const std::size_t expo =
-            policy_.backoff_spin_base << std::min<std::size_t>(attempt - 1, 20);
-        const std::size_t jitter =
-            hash_genes(genes, policy_.seed ^ attempt) % (policy_.backoff_spin_base + 1);
-        volatile std::size_t spin_sink = 0;
-        for (std::size_t i = 0; i < expo + jitter; ++i) spin_sink = spin_sink + 1;
-      }
       ++tally.retries;
       Rng rng(hash_genes(genes, policy_.seed + attempt));
       for (std::size_t i = 0; i < nudged.size(); ++i) {

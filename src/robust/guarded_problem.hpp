@@ -31,15 +31,6 @@ struct GuardPolicy {
   double penalty_objective = 1e9;  ///< objective value substituted on give-up
   double penalty_violation = 1e9;  ///< violation value substituted on give-up
   std::uint64_t seed = 0x9e3779b97f4a7c15ULL;  ///< mixes into retry perturbation
-
-  /// Exponential backoff between retries, in busy-spin iterations: retry k
-  /// waits base << (k-1) iterations plus a genome-derived jitter (0 = no
-  /// backoff, the default). Deliberately NOT wall-clock based: the wait is
-  /// a pure function of (genes, attempt), so retried evaluations — and
-  /// therefore whole runs — stay bit-reproducible. Useful when the inner
-  /// evaluator is a shared resource (a licensed simulator pool) that
-  /// benefits from spacing out hammering retries.
-  std::size_t backoff_spin_base = 0;
 };
 
 /// Wraps an inner Problem, converting exceptions, non-finite values and

@@ -140,7 +140,9 @@ void IslandGa::step(const moga::GenerationCallback& on_generation) {
 
 moga::Population IslandGa::combined() const {
   moga::Population everyone;
-  for (const auto& island : islands_) everyone.insert(everyone.end(), island.begin(), island.end());
+  for (const auto& island : islands_) {
+    everyone.insert(everyone.end(), island.begin(), island.end());
+  }
   return everyone;
 }
 

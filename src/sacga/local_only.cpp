@@ -8,7 +8,8 @@ namespace anadex::sacga {
 LocalOnly::LocalOnly(const moga::Problem& problem, const LocalOnlyParams& params)
     : params_(params),
       evolver_(problem, EvolverParams::of(params),
-               Partitioner(params.axis_objective, params.axis_lo, params.axis_hi, params.partitions),
+               Partitioner(params.axis_objective, params.axis_lo, params.axis_hi,
+                           params.partitions),
                params.seed, params.resume != nullptr ? &params.resume->evolver : nullptr) {
   ANADEX_REQUIRE(evolver_.generation() <= params.generations,
                  "resume state is beyond the configured generation count");

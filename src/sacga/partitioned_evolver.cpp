@@ -11,9 +11,9 @@
 
 namespace anadex::sacga {
 
-PartitionedEvolver::PartitionedEvolver(const moga::Problem& problem, const EvolverParams& params,
-                                       Partitioner partitioner, std::uint64_t seed,
-                                       const EvolverSnapshot* resume)
+PartitionedEvolver::PartitionedEvolver(const moga::Problem& problem,
+                                       const EvolverParams& params, Partitioner partitioner,
+                                       std::uint64_t seed, const EvolverSnapshot* resume)
     : problem_(problem),
       params_(params),
       engine_(problem, params.engine, params.sink),

@@ -34,7 +34,8 @@ bool phase1_step(PartitionedEvolver& evolver, std::size_t max_generations,
 Sacga::Sacga(const moga::Problem& problem, const SacgaParams& params)
     : params_(checked(params)),
       evolver_(problem, EvolverParams::of(params),
-               Partitioner(params.axis_objective, params.axis_lo, params.axis_hi, params.partitions),
+               Partitioner(params.axis_objective, params.axis_lo, params.axis_hi,
+                           params.partitions),
                params.seed, params.resume != nullptr ? &params.resume->evolver : nullptr) {
   if (params.resume != nullptr && params.resume->phase1_done) {
     begin_phase2(params.resume->phase1_generations);

@@ -8,7 +8,8 @@ namespace anadex::scint {
 template <std::size_t W>
 void evaluate_lanes(std::span<const device::Process* const, W> processes,
                     std::span<const IntegratorDesign, W> designs,
-                    const IntegratorContext& context, std::span<IntegratorPerformance, W> out) {
+                    const IntegratorContext& context,
+                    std::span<IntegratorPerformance, W> out) {
   std::array<circuit::OpAmpDesign, W> amps;
   std::array<circuit::OpAmpAnalysis, W> analyses;
   for (std::size_t k = 0; k < W; ++k) amps[k] = designs[k].opamp;
@@ -27,7 +28,8 @@ template void evaluate_lanes<8>(std::span<const device::Process* const, 8>,
                                 std::span<IntegratorPerformance, 8>);
 template void evaluate_lanes<16>(std::span<const device::Process* const, 16>,
                                  std::span<const IntegratorDesign, 16>,
-                                 const IntegratorContext&, std::span<IntegratorPerformance, 16>);
+                                 const IntegratorContext&,
+                                 std::span<IntegratorPerformance, 16>);
 
 bool in_lane_domain(const IntegratorDesign& design) {
   const circuit::OpAmpDesign& a = design.opamp;

@@ -289,8 +289,7 @@ void run_workers_in_processes(const expt::RunSettings& settings, const Topology&
                      settings.guard.perturbation == defaults.perturbation &&
                      settings.guard.penalty_objective == defaults.penalty_objective &&
                      settings.guard.penalty_violation == defaults.penalty_violation &&
-                     settings.guard.seed == defaults.seed &&
-                     settings.guard.backoff_spin_base == defaults.backoff_spin_base,
+                     settings.guard.seed == defaults.seed,
                  "process shard mode cannot forward a non-default guard "
                  "policy across exec; use thread mode");
 

@@ -9,8 +9,10 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -104,6 +106,86 @@ TEST(EvalEngine, WorkerWakingAfterItsBatchNeverSwallowsTheNext) {
   }
   lock.unlock();
   runner.join();
+}
+
+/// Records the threads that evaluate it; each item takes about 1 ms, so
+/// every thread that joins a batch gets items.
+class ThreadRecordingProblem final : public moga::Problem {
+ public:
+  std::string name() const override { return "thread-recording"; }
+  std::size_t num_variables() const override { return 1; }
+  std::size_t num_objectives() const override { return 1; }
+  std::size_t num_constraints() const override { return 0; }
+  std::vector<moga::VariableBound> bounds() const override { return {{0.0, 1.0}}; }
+  void evaluate(std::span<const double> genes, moga::Evaluation& out) const override {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      ids_.insert(std::this_thread::get_id());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    out.objectives = {genes[0]};
+    out.violations.clear();
+  }
+  std::set<std::thread::id> ids() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return ids_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::set<std::thread::id> ids_;
+};
+
+TEST(EvalEngine, CallerWorksItsBatchBesideThreadsMinusOneWorkers) {
+  const ThreadRecordingProblem problem;
+  const EvalEngine eval(problem, 2);
+  const std::vector<Genome> genomes(64, Genome{0.5});
+  std::vector<moga::Evaluation> out(genomes.size());
+  eval.evaluate_batch(genomes, out);
+
+  std::set<std::thread::id> helpers = problem.ids();
+  helpers.erase(std::this_thread::get_id());
+  EXPECT_LE(helpers.size(), 1u) << "a 2-thread engine evaluated on " << helpers.size()
+                                << " threads besides the caller";
+  for (const moga::Evaluation& eval_out : out) {
+    EXPECT_EQ(eval_out.objectives, std::vector<double>{0.5});
+  }
+}
+
+#ifdef __linux__
+/// Threads of this process, as the kernel lists them.
+std::size_t process_threads() {
+  std::size_t count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+TEST(EvalEngine, StartsThreadsMinusOnePoolThreadsWithOrWithoutAWatchdog) {
+  const auto problem = problems::make_sch();
+  CancelToken token;
+  // A sanitizer runtime may start a helper thread with a process's first
+  // thread, so an engine with a pool exists before counting starts.
+  const EvalEngine first(*problem, 2);
+  const std::size_t before = process_threads();
+  const EvalEngine serial(*problem, 1);
+  EXPECT_EQ(process_threads(), before);
+  const EvalEngine watched_serial(*problem, 1, nullptr, 0, EvalWatchdog{&token, 1.0});
+  EXPECT_EQ(process_threads(), before);
+  const EvalEngine pooled(*problem, 4);
+  EXPECT_EQ(process_threads(), before + 3);
+  const EvalEngine watched_pooled(*problem, 3, nullptr, 0, EvalWatchdog{&token, 1.0});
+  EXPECT_EQ(process_threads(), before + 3 + 2);
+}
+#endif
+
+TEST(EvalEngine, RejectsMoreThanTheThreadCap) {
+  // Checked before any thread starts, for bound engines and hubs alike.
+  const auto problem = problems::make_sch();
+  EXPECT_THROW(EvalEngine(*problem, 257), PreconditionError);
+  EXPECT_THROW(EvalEngine(257), PreconditionError);
 }
 
 TEST(EvalEngine, EvaluateMembersFillsEvaluationsInPlace) {

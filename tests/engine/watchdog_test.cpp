@@ -65,6 +65,35 @@ TEST(Watchdog, CancelsAStuckBatchAndPenalizesAsTimeouts) {
   EXPECT_FALSE(token.requested());
 }
 
+TEST(Watchdog, SingleThreadEngineTurnsAStuckBatchIntoTimeouts) {
+  // The calling thread is the engine's only thread, and it is the one stuck
+  // in the spin: the deadline reaches the evaluator through the token alone.
+  robust::FaultInjectionConfig config;
+  config.slow_rate = 1.0;
+  config.slow_spin_iterations = 3'000'000'000ULL;
+  auto injector = std::make_shared<robust::FaultInjectingProblem>(zdt1(), config);
+
+  CancelToken token;
+  injector->set_cancel_token(&token);
+  robust::GuardedProblem guarded(injector, robust::GuardPolicy{});
+  guarded.set_cancel_token(&token);
+
+  const EvalEngine eval(guarded, 1, nullptr, 0, EvalWatchdog{&token, 0.05});
+  auto members = make_members(4);
+  eval.evaluate_members_as(eval.problem(), 0, members);
+
+  EXPECT_EQ(eval.watchdog_fires(), 1u);
+  const auto report = guarded.report();
+  EXPECT_EQ(report.timeouts, members.size());
+  EXPECT_EQ(report.penalized, members.size());
+  for (const auto& member : members) {
+    for (double objective : member.eval.objectives) {
+      EXPECT_EQ(objective, robust::GuardPolicy{}.penalty_objective);
+    }
+  }
+  EXPECT_FALSE(token.requested());
+}
+
 TEST(Watchdog, GenerousDeadlineNeverFiresAndNeverChangesResults) {
   auto problem = zdt1();
   const EvalEngine plain(*problem, 2);
@@ -86,6 +115,21 @@ TEST(Watchdog, GenerousDeadlineNeverFiresAndNeverChangesResults) {
     EXPECT_EQ(members[i].eval.objectives, expected[i].eval.objectives);
     EXPECT_EQ(members[i].eval.violations, expected[i].eval.violations);
   }
+}
+
+TEST(Watchdog, DeadlineBeyondTheClockRangeNeverFires) {
+  // 1e12 s is past steady_clock's nanosecond range; uncapped, the deadline
+  // would wrap into the past and penalize every evaluation.
+  auto problem = zdt1();
+  CancelToken token;
+  robust::GuardedProblem guarded(problem, robust::GuardPolicy{});
+  guarded.set_cancel_token(&token);
+  const EvalEngine watched(guarded, 1, nullptr, 0, EvalWatchdog{&token, 1e12});
+  auto members = make_members(4);
+  watched.evaluate_members_as(watched.problem(), 0, members);
+
+  EXPECT_EQ(watched.watchdog_fires(), 0u);
+  EXPECT_EQ(guarded.report().total_faults(), 0u);
 }
 
 TEST(Watchdog, RejectsNonFiniteDeadlines) {

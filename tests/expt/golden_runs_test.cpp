@@ -44,13 +44,20 @@ struct Golden {
 
 // clang-format off
 constexpr Golden kGoldens[] = {
-    {Algo::TPG,         "0x1.79dcdbfa5cdf9p+4", "0x1.3678f1b51f665p-1", 2592, 80, 0xdf62168df77f03beULL, 0xca007cd998984471ULL},
-    {Algo::LocalOnly,   "0x1.59f7cf4b01d6ep+5", "0x1.1defb35b47c6p-2",  2592, 80, 0x34fe916ee7eb836fULL, 0xe24d134e167c7399ULL},
-    {Algo::SACGA,       "0x1.73b15b41bebb4p+5", "0x1.ce8cb0a2740e4p-3", 2592, 80, 0x36eeed32745d4b88ULL, 0xa935fc90b51dba94ULL},
-    {Algo::MESACGA,     "0x1.a6b1564ab239ap+4", "0x1.1e905a6e0abc3p-1", 2560, 79, 0x959b57764e955950ULL, 0x8ee3b9c18e67c1ddULL},
-    {Algo::Island,      "0x1.6c53a7b7139edp+5", "0x1.a0069cc08dd11p-3", 2592, 80, 0x532a6ed0345a9f64ULL, 0xa80c23a8d836a9c2ULL},
-    {Algo::WeightedSum, "0x1.b7fffffffffffp+5", "0x0p+0",               2624, 80, 0,                     0x411469050eb2d20fULL},
-    {Algo::SPEA2,       "0x1.7e5d228fd12bdp+5", "0x1.a093ac7943e6fp-3", 2592, 80, 0x1355eb1b20c760a0ULL, 0x69f543cff2fe1294ULL},
+    {Algo::TPG, "0x1.79dcdbfa5cdf9p+4", "0x1.3678f1b51f665p-1", 2592, 80,
+     0xdf62168df77f03beULL, 0xca007cd998984471ULL},
+    {Algo::LocalOnly, "0x1.59f7cf4b01d6ep+5", "0x1.1defb35b47c6p-2", 2592, 80,
+     0x34fe916ee7eb836fULL, 0xe24d134e167c7399ULL},
+    {Algo::SACGA, "0x1.73b15b41bebb4p+5", "0x1.ce8cb0a2740e4p-3", 2592, 80,
+     0x36eeed32745d4b88ULL, 0xa935fc90b51dba94ULL},
+    {Algo::MESACGA, "0x1.a6b1564ab239ap+4", "0x1.1e905a6e0abc3p-1", 2560, 79,
+     0x959b57764e955950ULL, 0x8ee3b9c18e67c1ddULL},
+    {Algo::Island, "0x1.6c53a7b7139edp+5", "0x1.a0069cc08dd11p-3", 2592, 80,
+     0x532a6ed0345a9f64ULL, 0xa80c23a8d836a9c2ULL},
+    {Algo::WeightedSum, "0x1.b7fffffffffffp+5", "0x0p+0", 2624, 80,
+     0, 0x411469050eb2d20fULL},
+    {Algo::SPEA2, "0x1.7e5d228fd12bdp+5", "0x1.a093ac7943e6fp-3", 2592, 80,
+     0x1355eb1b20c760a0ULL, 0x69f543cff2fe1294ULL},
 };
 // clang-format on
 
@@ -108,7 +115,8 @@ TEST(GoldenRuns, EveryAlgorithmMatchesItsRecordedBits) {
   for (const Golden& golden : kGoldens) {
     const std::string name = algo_name(golden.algo);
     RunSettings settings = golden_settings(golden.algo);
-    const std::string stem = dir + "anadex_golden_" + std::to_string(static_cast<int>(golden.algo));
+    const std::string stem =
+        dir + "anadex_golden_" + std::to_string(static_cast<int>(golden.algo));
     settings.trace_path = stem + ".trace.jsonl";
     settings.trace_level = obs::TraceLevel::Gen;
     if (golden.algo != Algo::WeightedSum) {
@@ -119,7 +127,8 @@ TEST(GoldenRuns, EveryAlgorithmMatchesItsRecordedBits) {
     const RunOutcome outcome = run(settings);
 
     const std::uint64_t checkpoint_digest =
-        settings.checkpoint_path.empty() ? 0 : file_digest(settings.checkpoint_path).value_or(1);
+        settings.checkpoint_path.empty() ? 0
+                                         : file_digest(settings.checkpoint_path).value_or(1);
     const std::uint64_t trace_digest = file_digest(settings.trace_path).value_or(1);
     EXPECT_EQ(hex(outcome.front_area), golden.front_area) << name;
     EXPECT_EQ(hex(outcome.hypervolume_norm), golden.hypervolume) << name;
@@ -130,7 +139,8 @@ TEST(GoldenRuns, EveryAlgorithmMatchesItsRecordedBits) {
     EXPECT_FALSE(outcome.interrupted) << name;
     // The observed row, spelled as in kGoldens, for re-recording.
     if (testing::Test::HasFailure()) {
-      std::printf("    {Algo::%s, \"%s\", \"%s\", %zu, %zu, %s, %s},\n", enumerator(golden.algo),
+      std::printf("    {Algo::%s, \"%s\", \"%s\", %zu, %zu,\n     %s, %s},\n",
+                  enumerator(golden.algo),
                   hex(outcome.front_area).c_str(), hex(outcome.hypervolume_norm).c_str(),
                   outcome.evaluations, outcome.generations,
                   digest_spelling(checkpoint_digest).c_str(),

@@ -309,11 +309,6 @@ TEST(Runner, ValidationRejectsDegenerateGuardAndWatchdogSettings) {
     s.guard.perturbation = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW(validate_run_settings(s), PreconditionError);
   }
-  {
-    RunSettings s = smoke_settings(Algo::TPG);
-    s.guard.backoff_spin_base = std::size_t{1} << 40;  // years of spinning
-    EXPECT_THROW(validate_run_settings(s), PreconditionError);
-  }
   for (double deadline : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
                           std::numeric_limits<double>::infinity()}) {
     RunSettings s = smoke_settings(Algo::TPG);

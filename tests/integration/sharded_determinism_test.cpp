@@ -4,9 +4,12 @@
 // checkpoint file bit for bit. The matrix repeats under injected evaluator
 // faults with one shard crash-killed mid-epoch (the supervisor relaunches
 // it), and a checkpoint written by a 2-shard run must resume at 4 shards
-// and still land on the solo bytes.
+// and still land on the solo bytes. Forked worker processes, which get
+// the run as command-line flags, land on them too.
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -185,6 +188,30 @@ TEST(ShardedDeterminism, CheckpointWrittenAtTwoShardsResumesAtFour) {
   EXPECT_FALSE(outcome.interrupted);
   EXPECT_EQ(outcome.resumed_from_generation, 2 * kMigrationInterval);
   expect_matches(ref, outcome, second.checkpoint_path, "cross-shard-count resume");
+}
+
+TEST(ShardedDeterminism, ProcessShardsWithADeadlineMatchSoloBytes) {
+  // Process workers receive the run as `anadex shard-worker` flags: the
+  // seed in decimal, the deadline as textio::exact's hex float. Each must
+  // read both back exactly. The deadline is far beyond any batch, so it
+  // never fires; the seed lies past 2^63.
+  const TestDir scope("sharded_process_test.dir");
+  const problems::IntegratorProblem problem(problems::spec_suite().front());
+  expt::RunSettings base = island_settings(1);
+  base.seed = std::numeric_limits<std::uint64_t>::max() - 6;
+  base.eval_deadline_s = 60.0;
+  const Reference ref = solo_reference(problem, base, scope.dir);
+  expt::RunSettings s = base;
+  s.shards = 2;
+  s.shard_dir = (scope.dir / "spool").string();
+  s.checkpoint_path = (scope.dir / "process.cp").string();
+  ShardOptions options;
+  options.mode = LaunchMode::Processes;
+  options.worker_binary = ANADEX_CLI_BINARY;
+  options.spec_arg = "1";
+  const expt::RunOutcome outcome = run_sharded(problem, s, options);
+  EXPECT_FALSE(outcome.interrupted);
+  expect_matches(ref, outcome, s.checkpoint_path, "process shards=2 with a deadline");
 }
 
 }  // namespace

@@ -87,7 +87,8 @@ TEST(Nsga2, SchFrontConvergesToKnownCurve) {
     EXPECT_LE(ind.genes[0], 2.1);
     const double f1 = ind.eval.objectives[0];
     const double f2 = ind.eval.objectives[1];
-    const double expected_f2 = (std::sqrt(std::max(f1, 0.0)) - 2.0) * (std::sqrt(std::max(f1, 0.0)) - 2.0);
+    const double expected_f2 =
+        (std::sqrt(std::max(f1, 0.0)) - 2.0) * (std::sqrt(std::max(f1, 0.0)) - 2.0);
     EXPECT_NEAR(f2, expected_f2, 0.05);
   }
 }

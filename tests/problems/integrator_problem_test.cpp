@@ -388,7 +388,8 @@ TEST(SpecSuite, NamesAreUnique) {
 
 TEST(SpecSuite, EasiestSpecAdmitsReferenceDesign) {
   const IntegratorProblem easy(spec_suite().front());
-  const auto eval = easy.evaluated(IntegratorProblem::encode(testing_support::reference_design()));
+  const auto eval =
+      easy.evaluated(IntegratorProblem::encode(testing_support::reference_design()));
   EXPECT_TRUE(eval.feasible());
 }
 

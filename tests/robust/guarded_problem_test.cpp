@@ -181,42 +181,8 @@ TEST(GuardedProblem, SetReportRestoresCumulativeCounters) {
   EXPECT_EQ(guard.report().penalized, 2u);
 }
 
-TEST(GuardedProblem, BackoffNeverChangesEvaluationResults) {
-  // The retry backoff is busy-spin only — a pure function of (genes,
-  // attempt index), never a wall-clock wait — so turning it on must leave
-  // every evaluation, clean or penalized, bit-identical.
-  GuardPolicy plain;
-  GuardPolicy spaced = plain;
-  spaced.backoff_spin_base = 256;
-  GuardedProblem without(flaky(), plain);
-  GuardedProblem with(flaky(), spaced);
-
-  const std::vector<std::vector<double>> genomes{
-      {0.1, 0.6},   // clean
-      {0.3, 0.2},   // throws on every retry → penalized
-      {0.6, 0.4},   // NaN objective → penalized or recovered
-  };
-  for (const auto& genes : genomes) {
-    const auto a = without.evaluated(genes);
-    const auto b = with.evaluated(genes);
-    ASSERT_EQ(a.objectives.size(), b.objectives.size());
-    for (std::size_t i = 0; i < a.objectives.size(); ++i) {
-      // EXPECT_EQ on doubles is bitwise here (no NaNs survive the guard).
-      EXPECT_EQ(a.objectives[i], b.objectives[i]);
-    }
-    EXPECT_EQ(a.violations, b.violations);
-  }
-  const auto ra = without.report();
-  const auto rb = with.report();
-  EXPECT_EQ(ra.exceptions, rb.exceptions);
-  EXPECT_EQ(ra.retries, rb.retries);
-  EXPECT_EQ(ra.recovered, rb.recovered);
-  EXPECT_EQ(ra.penalized, rb.penalized);
-}
-
-TEST(GuardedProblem, BackoffIsDeterministicAcrossInstances) {
+TEST(GuardedProblem, RetryIsDeterministicAcrossInstances) {
   GuardPolicy policy;
-  policy.backoff_spin_base = 64;
   policy.max_retries = 3;
   GuardedProblem first(flaky(), policy);
   GuardedProblem second(flaky(), policy);

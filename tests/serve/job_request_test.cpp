@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "problems/spec_suite.hpp"
 
 namespace anadex::serve {
 namespace {
@@ -75,6 +76,25 @@ TEST(ParseJobRequest, AlgoVocabularyMatchesCli) {
   }
 }
 
+TEST(ParseJobRequest, CliAndRequestsShareOneNameTable) {
+  // `anadex explore --algo/--spec` and a request's "algo"/"spec" both parse
+  // through expt::parse_algo and expt::parse_spec.
+  EXPECT_EQ(expt::parse_algo("nsga2"), expt::Algo::TPG);
+  EXPECT_EQ(expt::parse_algo("wsum"), expt::Algo::WeightedSum);
+  EXPECT_EQ(expt::parse_spec("chosen").name, problems::chosen_spec().name);
+  EXPECT_EQ(expt::parse_spec("3").name, problems::spec_suite()[2].name);
+  EXPECT_EQ(expt::parse_spec("20").name, problems::spec_suite()[19].name);
+  // `--spec 3abc` used to run spec 3.
+  for (const char* bad : {"3abc", "-3", "+3", " 3", "3 ", "3.0", "", "0", "21", "Chosen"}) {
+    EXPECT_THROW(expt::parse_spec(bad), PreconditionError) << '"' << bad << '"';
+  }
+  for (const char* bad : {"tpg ", "TPG", "sacga2", ""}) {
+    EXPECT_THROW(expt::parse_algo(bad), PreconditionError) << '"' << bad << '"';
+  }
+  const JobRequest r = parse_job_request(R"({"id":"a","algo":"tpg","spec":"3"})");
+  EXPECT_EQ(r.settings.spec.name, problems::spec_suite()[2].name);
+}
+
 TEST(ParseJobRequest, ToleratesWhitespaceAndKeyOrder) {
   const JobRequest r = parse_job_request(
       " { \"spec\" : 1 ,\t\"id\" : \"ws\" , \"algo\" : \"sacga\" } \r\n");
@@ -93,11 +113,15 @@ TEST(ParseJobRequest, RejectTable) {
       {"missing id", R"({"algo":"tpg","spec":"chosen"})", "missing required key \"id\""},
       {"missing algo", R"({"id":"a","spec":"chosen"})", "missing required key \"algo\""},
       {"missing spec", R"({"id":"a","algo":"tpg"})", "missing required key \"spec\""},
-      {"unknown key", R"({"id":"a","algo":"tpg","spec":1,"bogus":1})", "unknown key \"bogus\""},
-      {"service-owned key", R"({"id":"a","algo":"tpg","spec":1,"threads":8})", "unknown key \"threads\""},
-      {"duplicate key", R"({"id":"a","id":"b","algo":"tpg","spec":1})", "duplicate key \"id\""},
+      {"unknown key", R"({"id":"a","algo":"tpg","spec":1,"bogus":1})",
+       "unknown key \"bogus\""},
+      {"service-owned key", R"({"id":"a","algo":"tpg","spec":1,"threads":8})",
+       "unknown key \"threads\""},
+      {"duplicate key", R"({"id":"a","id":"b","algo":"tpg","spec":1})",
+       "duplicate key \"id\""},
       {"bad algo", R"({"id":"a","algo":"annealing","spec":1})", "unknown algo \"annealing\""},
       {"bad spec string", R"({"id":"a","algo":"tpg","spec":"best"})", "\"spec\""},
+      {"spec index with junk", R"({"id":"a","algo":"tpg","spec":"3abc"})", "\"spec\""},
       {"spec zero", R"({"id":"a","algo":"tpg","spec":0})", "\"spec\" index"},
       {"spec out of range", R"({"id":"a","algo":"tpg","spec":21})", "\"spec\" index"},
       {"spec bool", R"({"id":"a","algo":"tpg","spec":true})", "\"spec\""},
@@ -115,7 +139,8 @@ TEST(ParseJobRequest, RejectTable) {
       {"not an object", R"(["id","a"])", "expected '{'"},
       {"empty line", "", "unexpected end of input"},
       {"trailing junk", R"({"id":"a","algo":"tpg","spec":1} extra)", "trailing characters"},
-      {"unterminated string", R"({"id":"a","algo":"tpg","spec":1,"x":"oops)", "unterminated string"},
+      {"unterminated string", R"({"id":"a","algo":"tpg","spec":1,"x":"oops)",
+       "unterminated string"},
       {"escape in string", R"({"id":"a\nb","algo":"tpg","spec":1})", "escape sequences"},
       {"truncated object", R"({"id":"a","algo":"tpg")", "unexpected end of input"},
   };

@@ -29,11 +29,13 @@ std::string slurp(const fs::path& path) {
 moga::Population sample_population() {
   moga::Population pop(3);
   for (std::size_t i = 0; i < pop.size(); ++i) {
-    pop[i].genes = {1.0 / 3.0 + static_cast<double>(i), -2.5e-13, 0.1 * static_cast<double>(i + 1)};
+    pop[i].genes = {1.0 / 3.0 + static_cast<double>(i), -2.5e-13,
+                    0.1 * static_cast<double>(i + 1)};
     pop[i].eval.objectives = {3.14159265358979e-3 * static_cast<double>(i + 1), 7.0};
     pop[i].eval.violations = {0.0, 1e-17 * static_cast<double>(i)};
     pop[i].rank = static_cast<int>(i);
-    pop[i].crowding = i == 0 ? std::numeric_limits<double>::infinity() : 0.25 * static_cast<double>(i);
+    pop[i].crowding =
+        i == 0 ? std::numeric_limits<double>::infinity() : 0.25 * static_cast<double>(i);
   }
   return pop;
 }
